@@ -8,10 +8,14 @@ table and archives it under ``benchmarks/results/``.
 """
 
 import pathlib
+import sys
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+# benches compare against the scalar oracles in ``tests/oracles``
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 
 @pytest.fixture

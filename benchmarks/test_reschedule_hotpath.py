@@ -1,4 +1,4 @@
-"""Bench: the re-scheduling hot path — cached+vectorized vs scalar seed.
+"""Bench: the re-scheduling hot path — cached+vectorized vs scalar oracle.
 
 The adaptive controller's entire value proposition rests on cheap
 re-invocation of ``schedule_online`` (the paper's 0.6 ms argument for
@@ -15,11 +15,11 @@ sequence runs through both arms:
 * **fast arm** — the defaults: shared ``CtgAnalysis`` whose
   ``path_cache`` carries the path analytics across calls, vectorized
   slack kernels;
-* **seed arm** — ``vectorized=False, use_cache=False``: the original
-  scalar per-path loop re-deriving everything on every call (the seed
-  behaviour of the stretching stage; DLS and path-enumeration
-  improvements are shared by both arms, making the comparison
-  conservative).
+* **seed arm** — ``dls_schedule`` followed by the scalar stretching
+  oracle (``tests/oracles/stretching.py``): the original per-path loop
+  re-deriving everything on every call (the seed behaviour of the
+  stretching stage; DLS and path-enumeration improvements are shared
+  by both arms, making the comparison conservative).
 
 MPEG's DLS flips the mapping when some branches drift (the equivalence
 tests cover that path — the cache then misses and rebuilds), so the
@@ -48,6 +48,7 @@ from repro.sim.runner import run_adaptive
 from repro.workloads.cruise import cruise_ctg, cruise_platform
 from repro.workloads.mpeg import mpeg_ctg, mpeg_platform
 from repro.workloads.traces import drifting_trace
+from tests.oracles.stretching import reference_online
 
 #: drift magnitude of the regime pair — the controller's re-scheduling
 #: threshold, i.e. the smallest drift that triggers a call
@@ -105,10 +106,10 @@ def _regime_snapshots(ctg, platform, analysis, cycles):
     return [up, down] * cycles, stable
 
 
-def _replay(ctg, platform, analysis, snapshots, **kwargs):
+def _replay(ctg, platform, analysis, snapshots, online=schedule_online, **kwargs):
     start = time.perf_counter()
     results = [
-        schedule_online(ctg, platform, probs, analysis=analysis, **kwargs)
+        online(ctg, platform, probs, analysis=analysis, **kwargs)
         for probs in snapshots
     ]
     return time.perf_counter() - start, results
@@ -124,7 +125,7 @@ def run_hotpath_bench(cycles: int = HOTPATH_CYCLES):
 
     seed_analysis = CtgAnalysis.of(ctg)
     seed_time, seed_results = _replay(
-        ctg, platform, seed_analysis, snapshots, vectorized=False, use_cache=False
+        ctg, platform, seed_analysis, snapshots, online=reference_online
     )
 
     fast_analysis = CtgAnalysis.of(ctg)
@@ -154,7 +155,7 @@ def run_hotpath_bench(cycles: int = HOTPATH_CYCLES):
         f"re-scheduling hot path — {calls} re-invocations "
         "(alternating threshold-drift regimes), 40-task MPEG CTG",
         f"  drifted branches (±{DRIFT})   : {', '.join(stable)}",
-        f"  seed arm (scalar, uncached) : {seed_time * 1e3:8.1f} ms"
+        f"  seed arm (scalar oracle)    : {seed_time * 1e3:8.1f} ms"
         f"  ({seed_time / calls * 1e3:6.1f} ms/call)",
         f"  fast arm (vectorized+cache) : {fast_time * 1e3:8.1f} ms"
         f"  ({fast_time / calls * 1e3:6.1f} ms/call)",

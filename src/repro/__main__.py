@@ -749,8 +749,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     trace = drifting_trace(ctg, args.length, seed=args.seed)
     probabilities = empirical_distribution(ctg, trace[: args.train])
     tracer = Tracer()
-    # None = the historical continuous path, byte-for-byte
-    speed_policy = None if args.policy == "continuous" else args.policy
     if args.plan == "none":
         result = run_adaptive(
             ctg,
@@ -758,7 +756,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             trace[args.train :],
             probabilities,
             tracer=tracer,
-            speed_policy=speed_policy,
+            speed_policy=args.policy,
         )
     else:
         catalogue = fault_plan_catalogue()
@@ -773,7 +771,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             probabilities,
             catalogue[args.plan],
             tracer=tracer,
-            speed_policy=speed_policy,
+            speed_policy=args.policy,
         )
 
     out = Path(args.out) if args.out else Path(f"{name}.trace.json")

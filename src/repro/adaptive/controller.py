@@ -22,22 +22,19 @@ counters over the whole run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 from ..ctg.graph import ConditionalTaskGraph
 from ..ctg.minterms import CtgAnalysis
 from ..platform.mpsoc import Platform
 from ..profiling import StageProfiler
-from ..scheduling.dls import dls_schedule
+# Not called in this module: kept importable from it because the
+# perfbench span tracer (perfbench/spans.py) patches
+# ``repro.adaptive.controller.dls_schedule`` by name.
+from ..scheduling.dls import dls_schedule  # noqa: F401
 from ..scheduling.online import OnlineResult, full_speed_schedule, schedule_online
-from ..scheduling.pathcache import (
-    freeze_probabilities,
-    schedule_fingerprint,
-    structure_for,
-)
 from ..scheduling.policies import SpeedPolicy, resolve_speed_policy
 from ..scheduling.schedule import SchedulingError
-from ..scheduling.stretching import StretchReport
 from .window import WindowProfiler
 
 
@@ -110,9 +107,8 @@ class AdaptiveController:
     speed_policy:
         A :class:`~repro.scheduling.policies.SpeedPolicy` (or registry
         name) selecting the speed-selection family for every schedule
-        the controller builds; ``None`` keeps the paper's continuous
-        stretching byte-for-byte.  The prestretch cache is keyed per
-        policy and only consulted when the policy supports it.
+        the controller builds; ``None`` means ``"continuous"``, the
+        paper's stretching.
     """
 
     def __init__(
@@ -144,11 +140,6 @@ class AdaptiveController:
         # reuse for every re-scheduling call.  Its path_cache also keeps
         # the per-mapping path analytics warm across calls.
         self._analysis = CtgAnalysis.of(ctg)
-        # (mapping fingerprint, frozen distribution) → pre-stretched
-        # speeds; filled by prestretch(), consumed by reschedule()
-        self._prestretched: Dict[
-            Tuple[object, object], Tuple[Dict[str, float], Dict[str, float], int]
-        ] = {}
         self.current: OnlineResult = schedule_online(
             ctg,
             platform,
@@ -232,13 +223,6 @@ class AdaptiveController:
             raise ValueError(f"unknown on_error mode {on_error!r}")
         self.in_use = self.profiler.distributions()
         used_fallback = False
-        if (
-            self._prestretched
-            and not self.config.check
-            and self.policy.supports_prestretch
-            and self._install_prestretched()
-        ):
-            return self._finish_reschedule(emergency, used_fallback)
         try:
             self.current = schedule_online(
                 self.ctg,
@@ -278,116 +262,3 @@ class AdaptiveController:
             fallback=used_fallback,
         )
         return used_fallback
-
-    # -- batched pre-stretching fast path --------------------------------
-    def prestretch(
-        self, candidates: Sequence[Mapping[str, Mapping[str, float]]]
-    ) -> int:
-        """Pre-compute DVFS speeds for anticipated distributions.
-
-        Runs DLS once per candidate to find its mapping, groups the
-        candidates by mapping fingerprint (drift rarely changes the
-        mapping, so one group is the common case) and stretches each
-        group in a single :func:`~repro.batch.batched_stretch` sweep.
-        A later :meth:`reschedule` whose windowed estimate matches a
-        pre-stretched (mapping, distribution) pair installs the cached
-        speeds and skips the stretching stage entirely — the batch
-        fast path of the re-schedule loop, counted as
-        ``reschedule.prestretched``.
-
-        Returns the number of (mapping, distribution) pairs cached so
-        far.  The cache is only consulted when ``config.check`` is off
-        (the checked path always runs the full, verified pipeline).
-        """
-        # local import: repro.batch builds on the scheduling layer, so
-        # importing it at module scope would be a cycle hazard as the
-        # batch package grows adaptive-aware helpers
-        from ..batch import BatchSchedule, batched_stretch
-
-        if not self.policy.supports_prestretch:
-            return len(self._prestretched)
-        key = self.policy.cache_key()
-        levels = self.policy.level_table(self.platform)
-        groups: Dict[object, Tuple[object, List[Tuple[object, Dict]]]] = {}
-        for dist in candidates:
-            snapshot = {b: dict(d) for b, d in dist.items()}
-            frozen = freeze_probabilities(snapshot)
-            schedule = dls_schedule(
-                self.ctg,
-                self.platform,
-                snapshot,
-                analysis=self._analysis,
-                profiler=self.stats,
-            )
-            fingerprint = schedule_fingerprint(schedule)
-            if (key, fingerprint, frozen) in self._prestretched:
-                continue
-            entry = groups.setdefault(fingerprint, (schedule, []))
-            entry[1].append((frozen, snapshot))
-        for fingerprint, (schedule, pairs) in groups.items():
-            if not pairs:
-                continue
-            batch = BatchSchedule.from_ctg(schedule, self._analysis)
-            structure = structure_for(
-                schedule,
-                self._analysis.scenarios,
-                cache=self._analysis.path_cache,
-                profiler=self.stats,
-            )
-            report = batched_stretch(
-                batch, structure, [d for _, d in pairs], levels=levels
-            )
-            for i, (frozen, _) in enumerate(pairs):
-                self._prestretched[(key, fingerprint, frozen)] = (
-                    report.speed_map(i),
-                    {
-                        task: float(report.slack_given[i, t])
-                        for t, task in enumerate(report.tasks)
-                    },
-                    report.path_count,
-                )
-        return len(self._prestretched)
-
-    def _install_prestretched(self) -> bool:
-        """Try serving :attr:`in_use` from the pre-stretched cache.
-
-        Re-runs DLS (mappings must match, and the placement is cheap
-        relative to stretching) and installs the cached speeds on a
-        fingerprint + distribution hit.  Returns ``False`` on a miss,
-        in which case the caller falls through to the full pipeline.
-        """
-        frozen = freeze_probabilities(self.in_use)
-        with self.stats.stage("online"):
-            with self.stats.stage("dls"):
-                schedule = dls_schedule(
-                    self.ctg,
-                    self.platform,
-                    self.in_use,
-                    analysis=self._analysis,
-                    profiler=self.stats,
-                )
-            cached = self._prestretched.get(
-                (self.policy.cache_key(), schedule_fingerprint(schedule), frozen)
-            )
-            if cached is None:
-                return False
-            speeds, slack_given, path_count = cached
-            for task, speed in speeds.items():
-                schedule.set_speed(task, speed)
-            # The kernel applied the policy's quantisation; anything the
-            # scalar apply() does beyond it (e.g. the discrete policy's
-            # greedy refinement) happens here so both paths agree.
-            self.policy.post_install(schedule, None, self.stats)
-            # re-read: post_install may have refined individual levels
-            speeds = {task: schedule.placement(task).speed for task in speeds}
-            self.current = OnlineResult(
-                schedule=schedule,
-                stretch=StretchReport(
-                    slack_given=dict(slack_given),
-                    speeds=dict(speeds),
-                    path_count=path_count,
-                ),
-                profile=self.stats,
-            )
-        self.stats.count("reschedule.prestretched")
-        return True

@@ -1,17 +1,13 @@
 """Array-native batched scheduling core.
 
 Struct-of-arrays CTG/schedule snapshots (:mod:`~repro.batch.soa`),
-batched replay and stretching kernels (:mod:`~repro.batch.kernels`)
+batched replay and energy kernels (:mod:`~repro.batch.kernels`)
 and the one-kernel Monte-Carlo sweep (:mod:`~repro.batch.montecarlo`).
 The object-walking implementations elsewhere in the package remain the
 executable specification; everything here is validated against them.
 """
 
 from .kernels import (
-    BatchedTables,
-    BatchStretchReport,
-    batched_stretch,
-    batched_tables,
     instance_energies,
     instance_finish_times,
     scenario_energies,
@@ -22,11 +18,7 @@ from .soa import BatchSchedule
 
 __all__ = [
     "BatchSchedule",
-    "BatchStretchReport",
-    "BatchedTables",
     "MonteCarloResult",
-    "batched_stretch",
-    "batched_tables",
     "instance_energies",
     "instance_finish_times",
     "monte_carlo",

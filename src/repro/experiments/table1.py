@@ -119,7 +119,7 @@ def table1_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     profiler = StageProfiler()
 
     started = time.perf_counter()
-    # absent key = the historical continuous path, byte-for-byte
+    # absent key = None = the continuous policy
     online = schedule_online(
         ctg, platform, profiler=profiler, speed_policy=params.get("speed_policy")
     )

@@ -103,7 +103,6 @@ VOCABULARY: Tuple[MetricSpec, ...] = (
     _spec("reschedule.dropped", _C, "invocations lost to an injected drop fault"),
     _spec("reschedule.delayed", _C, "invocations deferred by an injected delay fault"),
     _spec("reschedule.fallback", _C, "full-speed fallback schedules installed on failure"),
-    _spec("reschedule.prestretched", _C, "re-schedules served from the batched pre-stretch cache"),
     _spec("batch.instances", _C, "instances evaluated by the batched Monte-Carlo kernel"),
     _spec("fault.injected", _C, "faults resolved from the plan and applied"),
     _spec("fault.threatened", _C, "instances whose no-policy arm missed the deadline"),

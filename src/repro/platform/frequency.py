@@ -7,8 +7,9 @@ literature (Berten, Chang & Kuo, *Discrete Frequency Selection of
 Frame-Based Stochastic Real-Time Tasks*) builds its whole analysis on
 that table.  This module lifts the distinction into an explicit
 hierarchy so every layer that touches speeds — ``clamp_speed`` on a PE,
-``speed_for_time`` on the energy model, the batched stretch kernels —
-routes through one object instead of re-implementing the rounding rule:
+``speed_for_time`` on the energy model, the discrete and preemptive
+speed policies — routes through one object instead of re-implementing
+the rounding rule:
 
 * :class:`ContinuousDvfs` — the paper's model, bit-identical to the
   historical inline clamp;
@@ -62,10 +63,6 @@ class FrequencyModel:
         """Round a speed onto the realisable set (identity when continuous)."""
         raise NotImplementedError
 
-    def cache_key(self) -> object:
-        """Hashable identity for memoisation (prestretch cache etc.)."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ContinuousDvfs(FrequencyModel):
@@ -78,9 +75,6 @@ class ContinuousDvfs(FrequencyModel):
     def quantize(self, speed: float) -> float:
         """Continuous scaling realises every speed exactly."""
         return speed
-
-    def cache_key(self) -> object:
-        return "continuous"
 
 
 @dataclass(frozen=True)
@@ -105,13 +99,7 @@ class DiscreteDvfs(FrequencyModel):
 
     def clamp(self, speed: float, min_speed: float) -> float:
         """Envelope clamp plus round-up to the next table level."""
-        clamped = min(1.0, max(min_speed, speed))
-        if not self.levels:
-            return clamped
-        for level in self.levels:
-            if level >= clamped - EXACT_EPS:
-                return level
-        return self.levels[-1]
+        return self.quantize(min(1.0, max(min_speed, speed)))
 
     def quantize(self, speed: float) -> float:
         """Round *up* to the next level (top level when already above all)."""
@@ -121,9 +109,6 @@ class DiscreteDvfs(FrequencyModel):
             if level >= speed - EXACT_EPS:
                 return level
         return self.levels[-1]
-
-    def cache_key(self) -> object:
-        return ("discrete", self.levels)
 
     def validate(self, min_speed: float, max_speed: float = 1.0) -> List[str]:
         """Defects of this table, as human-readable strings.

@@ -55,7 +55,6 @@ re-render, never the table text:
 ``reschedule.dropped``            counter    invocations lost to an injected drop fault
 ``reschedule.delayed``            counter    invocations deferred by an injected delay fault
 ``reschedule.fallback``           counter    full-speed fallback schedules installed on failure
-``reschedule.prestretched``       counter    re-schedules served from the batched pre-stretch cache
 ``batch.instances``               counter    instances evaluated by the batched Monte-Carlo kernel
 ``fault.injected``                counter    faults resolved from the plan and applied
 ``fault.threatened``              counter    instances whose no-policy arm missed the deadline

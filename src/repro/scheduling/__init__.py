@@ -23,7 +23,6 @@ from .policies import (
     EapsSpeedPolicy,
     PreemptiveSpeedPolicy,
     SpeedPolicy,
-    quantize_speed,
     resolve_speed_policy,
 )
 from .pathcache import (
@@ -72,7 +71,6 @@ __all__ = [
     "EapsSpeedPolicy",
     "PreemptiveSpeedPolicy",
     "SpeedPolicy",
-    "quantize_speed",
     "resolve_speed_policy",
     "PathStructure",
     "build_structure",

@@ -55,8 +55,6 @@ def schedule_online(
     analysis: Optional[CtgAnalysis] = None,
     max_passes: int = 1,
     share_exponent: float = 1.0,
-    vectorized: bool = True,
-    use_cache: bool = True,
     profiler: Optional[StageProfiler] = None,
     check: bool = False,
     speed_policy: Union[None, str, SpeedPolicy] = None,
@@ -86,11 +84,6 @@ def schedule_online(
     max_passes, share_exponent:
         Forwarded to :func:`repro.scheduling.stretch_schedule` (the
         ablation knobs of the slack-distribution stage).
-    vectorized, use_cache:
-        Forwarded to :func:`repro.scheduling.stretch_schedule`; the
-        defaults give the fast hot path, ``vectorized=False,
-        use_cache=False`` reproduces the scalar seed behaviour (used by
-        the equivalence tests and the hot-path bench as the baseline).
     profiler:
         Optional stage profiler; timings/counters accumulate into it
         and it is attached to the result as ``profile``.
@@ -104,11 +97,10 @@ def schedule_online(
     speed_policy:
         A :class:`~repro.scheduling.policies.SpeedPolicy` (or its
         registry name) selecting the speed-selection family.  ``None``
-        or ``"continuous"`` reproduces the paper's stretching
-        byte-for-byte; ``"discrete"`` quantises onto frequency tables,
-        ``"preemptive"`` adds run-time slack reclamation (in the
-        executor), ``"eaps"`` searches (frequency, cores)
-        configurations and builds its own mapping.
+        means ``"continuous"``, the paper's stretching; ``"discrete"``
+        quantises onto frequency tables, ``"preemptive"`` adds run-time
+        slack reclamation (in the executor), ``"eaps"`` searches
+        (frequency, cores) configurations and builds its own mapping.
 
     Returns
     -------
@@ -146,8 +138,6 @@ def schedule_online(
                 analysis=analysis,
                 max_passes=max_passes,
                 share_exponent=share_exponent,
-                vectorized=vectorized,
-                use_cache=use_cache,
                 profiler=profiler,
             )
     if check:

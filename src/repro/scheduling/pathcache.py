@@ -245,8 +245,9 @@ class PathStructure:
         """Per-path scenario membership packed into int bitmasks.
 
         Bit ``s`` of mask ``p`` is set iff path ``p`` can occur under
-        scenario ``s`` — the flat twin of the scalar reference's
-        ``_PathState.scenario_mask`` and of :attr:`membership`, in
+        scenario ``s`` — the flat twin of the scalar test oracle's
+        ``_PathState.scenario_mask`` (``tests/oracles/stretching.py``)
+        and of :attr:`membership`, in
         arbitrary-width Python ints so any scenario count fits.  Built
         once per structure and cached (the membership matrix is
         immutable).
@@ -352,7 +353,7 @@ def build_structure(
             count=int(lengths.sum()),
         )
         # Delay layout per path: node slots first, then hop slots — the
-        # same summation order as the scalar reference.
+        # same summation order as the scalar test oracle.
         delay_starts = np.zeros(len(node_rows), dtype=np.intp)
         np.cumsum(2 * lengths[:-1] - 1, out=delay_starts[1:])
         delay_gather = np.fromiter(
@@ -368,7 +369,7 @@ def build_structure(
         # Spanning tables via one stable sort of the flat node gather:
         # flat positions ascend with path index, so each task's slice
         # lists its spanning paths in enumeration order (matching the
-        # scalar reference's per-task path lists).
+        # scalar test oracle's per-task path lists).
         order = np.argsort(node_gather, kind="stable")
         path_of_flat = np.repeat(np.arange(len(node_rows), dtype=np.intp), lengths)
         boundaries = np.searchsorted(

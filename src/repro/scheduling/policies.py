@@ -4,8 +4,8 @@ The paper's voltage-selection stage (§III.A) is one fixed algorithm —
 continuous slack-distribution stretching.  This module lifts it into a
 **speed-policy protocol** so alternative families from the follow-up
 literature plug into the same stack (``schedule_online``, the adaptive
-controller's prestretch cache, the executor, the batch kernels) without
-any of those layers knowing which policy runs:
+controller, the executor, the Monte-Carlo sweep) without any of those
+layers knowing which policy runs:
 
 ``continuous``
     The paper's policy — :func:`repro.scheduling.stretching
@@ -16,12 +16,12 @@ any of those layers knowing which policy runs:
     Berten-style discrete level selection (Berten, Chang & Kuo,
     *Discrete Frequency Selection of Frame-Based Stochastic Real-Time
     Tasks*, RTCSA 2008): stretch continuously, round every speed *up*
-    onto the PE's frequency table (deadline-safe by construction,
-    matching the batch kernels' quantisation pass bit-for-bit), then
-    greedily try one level *down* per task — ordered by expected
-    energy saving under the task's execution-time distribution —
-    keeping a move only when the worst-case makespan still meets the
-    deadline.
+    onto the PE's frequency table
+    (:meth:`~repro.platform.frequency.DiscreteDvfs.clamp`, deadline-safe
+    by construction), then greedily try one level *down* per task —
+    ordered by expected energy saving under the task's execution-time
+    distribution — keeping a move only when the worst-case makespan
+    still meets the deadline.
 
 ``preemptive``
     Leung–Tsui slack reclamation (Leung, Tsui et al., *Exploiting
@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..check.tolerances import EXACT_EPS, TIME_EPS
+from ..platform.frequency import DiscreteDvfs
 from ..platform.mpsoc import Platform, PlatformError
 from ..platform.pe import ProcessingElement
 from ..profiling import StageProfiler, as_profiler
@@ -66,25 +67,6 @@ from .stretching import StretchReport, stretch_schedule
 DEFAULT_SPEED_LEVELS: Tuple[float, ...] = (0.25, 0.4, 0.55, 0.7, 0.85, 1.0)
 
 
-def quantize_speed(
-    speed: float, min_speed: float, levels: Optional[Tuple[float, ...]]
-) -> float:
-    """Scalar twin of the batch kernels' ``_clamp_speeds``.
-
-    Envelope clamp into ``[min_speed, 1.0]`` then round *up* to the
-    next level (top level when already above all).  Must stay
-    bit-identical to :func:`repro.batch.kernels._clamp_speeds` — the
-    oracle-agreement tests enforce it.
-    """
-    clamped = min(1.0, max(min_speed, speed))
-    if not levels:
-        return clamped
-    for level in levels:
-        if level >= clamped - EXACT_EPS:
-            return level
-    return levels[-1]
-
-
 @dataclass(frozen=True)
 class SpeedPolicy:
     """Base class / protocol of one speed-selection family.
@@ -94,9 +76,6 @@ class SpeedPolicy:
     flagged by :attr:`builds_schedule`).  The class-level flags tell
     the surrounding layers what the policy needs:
 
-    ``supports_prestretch``
-        The adaptive controller may serve this policy from its batched
-        prestretch cache (plus :meth:`post_install`).
     ``reclaims_slack``
         The executor re-budgets task speeds at run time
         (:meth:`reclaim_plan`).
@@ -106,13 +85,8 @@ class SpeedPolicy:
     """
 
     name: str = "continuous"
-    supports_prestretch = True
     reclaims_slack = False
     builds_schedule = False
-
-    def cache_key(self) -> object:
-        """Hashable identity for prestretch-cache keying."""
-        return self.name
 
     def levels_for(self, pe: ProcessingElement) -> Optional[Tuple[float, ...]]:
         """The level table governing a PE under this policy (None = continuous)."""
@@ -120,15 +94,6 @@ class SpeedPolicy:
         if model.is_discrete and model.levels:
             return tuple(model.levels)
         return None
-
-    def level_table(self, platform: Platform) -> Optional[Dict[str, Tuple[float, ...]]]:
-        """Per-PE level tables for the batch kernels, or ``None``."""
-        table = {}
-        for name in platform.pe_names:
-            levels = self.levels_for(platform.pe(name))
-            if levels is not None:
-                table[name] = levels
-        return table or None
 
     def escalation_speed(self, pe: ProcessingElement) -> float:
         """Top speed degradation escalation may select on a PE."""
@@ -147,26 +112,10 @@ class SpeedPolicy:
         analysis,
         max_passes: int,
         share_exponent: float,
-        vectorized: bool,
-        use_cache: bool,
         profiler: Optional[StageProfiler],
     ) -> StretchReport:
         """Select per-task speeds on an already-mapped schedule."""
         raise NotImplementedError
-
-    def post_install(
-        self,
-        schedule: Schedule,
-        deadline: Optional[float],
-        profiler: Optional[StageProfiler],
-    ) -> None:
-        """Scalar post-pass after batched prestretch speeds are installed.
-
-        The controller's cache installs speeds computed by the batched
-        kernel (which already applies this policy's quantisation);
-        anything the scalar :meth:`apply` does *beyond* quantisation
-        happens here so the cached and uncached paths agree.
-        """
 
     def reclaim_plan(
         self,
@@ -210,8 +159,6 @@ class ContinuousSpeedPolicy(SpeedPolicy):
             analysis=kwargs["analysis"],
             max_passes=kwargs["max_passes"],
             share_exponent=kwargs["share_exponent"],
-            vectorized=kwargs["vectorized"],
-            use_cache=kwargs["use_cache"],
             profiler=kwargs["profiler"],
         )
 
@@ -226,9 +173,6 @@ class DiscreteSpeedPolicy(SpeedPolicy):
     #: run the greedy one-level-down refinement after quantisation
     refine: bool = True
 
-    def cache_key(self) -> object:
-        return (self.name, self.levels, self.refine)
-
     def levels_for(self, pe: ProcessingElement) -> Optional[Tuple[float, ...]]:
         own = super().levels_for(pe)
         if own is not None:
@@ -240,27 +184,27 @@ class DiscreteSpeedPolicy(SpeedPolicy):
         base = ContinuousSpeedPolicy.apply(self, schedule, **kwargs)
         profiler = kwargs["profiler"]
         self._quantize(schedule, profiler)
-        self.post_install(schedule, kwargs["deadline"], profiler)
+        self._refine(schedule, kwargs["deadline"], profiler)
         speeds = {task: p.speed for task, p in schedule.placements.items()}
         return StretchReport(
             slack_given=base.slack_given, speeds=speeds, path_count=base.path_count
         )
 
     def _quantize(self, schedule: Schedule, profiler) -> None:
-        """Round every speed up onto its PE's table (kernel-identical)."""
+        """Round every speed up onto its PE's table."""
         prof = as_profiler(profiler)
         platform = schedule.platform
         for task in schedule.placement_order():
             placement = schedule.placement(task)
             pe = platform.pe(placement.pe)
-            quantized = quantize_speed(
-                placement.speed, pe.min_speed, self.levels_for(pe)
-            )
+            table = DiscreteDvfs(self.levels_for(pe))
+            quantized = table.clamp(placement.speed, pe.min_speed)
             if quantized > placement.speed + EXACT_EPS:
                 prof.count("policy.quantized")
             placement.speed = quantized
 
-    def post_install(self, schedule, deadline, profiler) -> None:
+    def _refine(self, schedule: Schedule, deadline, profiler) -> None:
+        """Greedy one-level-down moves that keep the deadline."""
         if not self.refine:
             return
         prof = as_profiler(profiler)
@@ -330,7 +274,7 @@ class PreemptiveSpeedPolicy(SpeedPolicy):
         levels = self.levels_for(pe)
         if not levels:
             return ((ideal, 1.0),)
-        high = quantize_speed(ideal, pe.min_speed, levels)
+        high = pe.frequency_model.clamp(ideal, pe.min_speed)
         high = min(high, static_speed)
         below = [s for s in levels if pe.min_speed - EXACT_EPS <= s < high - EXACT_EPS]
         if not below:
@@ -356,13 +300,9 @@ class EapsSpeedPolicy(SpeedPolicy):
     """Energy-aware (frequency, cores) configuration search."""
 
     name: str = "eaps"
-    supports_prestretch = False
     builds_schedule = True
     #: candidate uniform frequency levels
     levels: Tuple[float, ...] = DEFAULT_SPEED_LEVELS
-
-    def cache_key(self) -> object:
-        return (self.name, self.levels)
 
     def build(self, ctg, platform, probabilities, *, deadline, analysis, profiler):
         prof = as_profiler(profiler)

@@ -25,7 +25,7 @@ schedules produced by this package that is guaranteed by construction
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from ..check.tolerances import EXACT_EPS, TIME_EPS
 from ..ctg.minterms import Scenario
@@ -33,7 +33,7 @@ from ..faults.injectors import InstanceFaults
 from ..faults.policy import DegradationPolicy
 from ..obs.trace import Tracer, as_tracer
 from ..profiling import StageProfiler, as_profiler
-from ..scheduling.policies import SpeedPolicy
+from ..scheduling.policies import SpeedPolicy, resolve_speed_policy
 from ..scheduling.schedule import Schedule
 from .vectors import DecisionVector, scenario_from_decisions
 
@@ -97,6 +97,9 @@ class InstanceExecutor:
     per-instance timeline the Perfetto export renders; with the default
     :data:`~repro.obs.trace.NULL_TRACER` the replay loop skips span
     construction entirely (``enabled`` is checked once per instance).
+    ``speed_policy`` (a policy or registry name; ``None`` means
+    ``"continuous"``) sets the escalation ceiling of the faulted replay
+    and whether tasks reclaim slack at run time.
     """
 
     def __init__(
@@ -104,12 +107,12 @@ class InstanceExecutor:
         schedule: Schedule,
         profiler: Optional[StageProfiler] = None,
         tracer: Optional[Tracer] = None,
-        speed_policy: Optional[SpeedPolicy] = None,
+        speed_policy: Union[None, str, SpeedPolicy] = None,
     ) -> None:
         self.schedule = schedule
         self._prof = as_profiler(profiler)
         self._tracer = as_tracer(tracer)
-        self._policy = speed_policy
+        self._policy = resolve_speed_policy(speed_policy)
         self._esc_speeds: Dict[str, float] = {}
         ctg = schedule.ctg
         self._real_ctg = ctg.without_pseudo_edges()
@@ -123,15 +126,12 @@ class InstanceExecutor:
         self._worst_case: Optional[Dict[str, Tuple[float, float]]] = None
 
     def _escalation_speed(self, pe_name: str) -> float:
-        """Escalation ceiling of a PE: the policy's (or the PE's) top level."""
+        """Escalation ceiling of a PE: the policy's top level."""
         try:
             return self._esc_speeds[pe_name]
         except KeyError:
             pe = self.schedule.platform.pe(pe_name)
-            if self._policy is not None:
-                speed = self._policy.escalation_speed(pe)
-            else:
-                speed = pe.max_speed()
+            speed = self._policy.escalation_speed(pe)
             self._esc_speeds[pe_name] = speed
             return speed
 
@@ -150,9 +150,7 @@ class InstanceExecutor:
         converted into voltage reduction.  Omitted (the default), the
         replay is the historical WCET replay, bit-identical.
         """
-        dynamic = work_ratios is not None or (
-            self._policy is not None and self._policy.reclaims_slack
-        )
+        dynamic = work_ratios is not None or self._policy.reclaims_slack
         with self._prof.stage("executor.replay"):
             if dynamic:
                 result = self._run_dynamic(decisions, work_ratios or {})
@@ -273,7 +271,7 @@ class InstanceExecutor:
         platform = schedule.platform
         exponent = platform.dvfs.exponent
         policy = self._policy
-        reclaiming = policy is not None and policy.reclaims_slack
+        reclaiming = policy.reclaims_slack
         if reclaiming and self._worst_case is None:
             self._worst_case = schedule.worst_case_times()
         scenario = scenario_from_decisions(self._real_ctg, decisions)

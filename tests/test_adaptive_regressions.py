@@ -21,6 +21,7 @@ from repro.scheduling import SchedulingError, dls_schedule, stretch_schedule
 from repro.sim.runner import run_adaptive
 from repro.workloads.traces import drifting_trace
 
+from .oracles.stretching import reference_stretch
 from .test_stretching_edge_cases import uniform_platform
 
 
@@ -103,6 +104,11 @@ class TestAllPathsPrunedFallback:
         sched.ctg.deadline = 60.0
         return sched
 
+    @staticmethod
+    def _stretch(vectorized):
+        """The production stretch, or the scalar oracle."""
+        return stretch_schedule if vectorized else reference_stretch
+
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_degenerate_probabilities_fall_back_to_unpruned(self, vectorized):
         # Every scenario has probability 0 under this (inconsistent)
@@ -112,12 +118,8 @@ class TestAllPathsPrunedFallback:
         dead = {"fork": {"h": 0.0, "l": 0.0}}
         sched = self._schedule()
         prof = StageProfiler()
-        report = stretch_schedule(
-            sched,
-            dead,
-            prune_zero_probability=True,
-            vectorized=vectorized,
-            profiler=prof,
+        report = self._stretch(vectorized)(
+            sched, dead, prune_zero_probability=True, profiler=prof
         )
         assert report.path_count > 0
         assert prof.counter("stretch.prune_fallback") == 1
@@ -126,14 +128,11 @@ class TestAllPathsPrunedFallback:
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_fallback_matches_unpruned_result(self, vectorized):
         dead = {"fork": {"h": 0.0, "l": 0.0}}
+        stretch = self._stretch(vectorized)
         pruned = self._schedule()
-        stretch_schedule(
-            pruned, dead, prune_zero_probability=True, vectorized=vectorized
-        )
+        stretch(pruned, dead, prune_zero_probability=True)
         plain = self._schedule()
-        stretch_schedule(
-            plain, dead, prune_zero_probability=False, vectorized=vectorized
-        )
+        stretch(plain, dead, prune_zero_probability=False)
         for task in plain.placements:
             assert pruned.placement(task).speed == pytest.approx(
                 plain.placement(task).speed

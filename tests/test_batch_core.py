@@ -1,9 +1,8 @@
 """Oracle tests of the array-native batch core (:mod:`repro.batch`).
 
 Every kernel is validated against the object-walking implementation it
-batches: the instance executor, the faulted replay's baseline arm, the
-scalar stretching heuristic and the controller's full re-scheduling
-pipeline.  The scalar code is the specification; the arrays must agree.
+batches: the instance executor and the faulted replay's baseline arm.
+The scalar code is the specification; the arrays must agree.
 """
 
 import numpy as np
@@ -11,23 +10,16 @@ import pytest
 
 from repro.batch import (
     BatchSchedule,
-    batched_stretch,
     instance_energies,
     instance_finish_times,
     monte_carlo,
     scenario_energies,
     scenario_finish_times,
 )
-from repro.adaptive import AdaptiveController
 from repro.ctg import CtgAnalysis, GeneratorConfig, enumerate_scenarios, generate_ctg
 from repro.faults.injectors import InstanceFaults
 from repro.platform import PlatformConfig, generate_platform
-from repro.scheduling import (
-    dls_schedule,
-    schedule_online,
-    set_deadline_from_makespan,
-    stretch_schedule,
-)
+from repro.scheduling import dls_schedule, schedule_online, set_deadline_from_makespan
 from repro.scheduling.pathcache import structure_for
 from repro.sim import InstanceExecutor
 from repro.workloads import mpeg_ctg, mpeg_platform
@@ -46,16 +38,6 @@ def _decisions_of(scenario, ctg):
         chosen = scenario.product.label_for(branch)
         vector[branch] = chosen if chosen is not None else ctg.outcomes_of(branch)[0]
     return vector
-
-
-def _random_distribution(ctg, rng):
-    dist = {}
-    for branch in ctg.branch_nodes():
-        labels = ctg.outcomes_of(branch)
-        weights = rng.uniform(0.05, 1.0, size=len(labels))
-        weights /= weights.sum()
-        dist[branch] = dict(zip(labels, weights))
-    return dist
 
 
 class TestRoundTrip:
@@ -221,54 +203,6 @@ class TestMonteCarlo:
             monte_carlo(ctg, platform, 0, schedule=schedule)
 
 
-class TestBatchedStretch:
-    def test_matches_scalar_stretch_per_distribution(self):
-        ctg = mpeg_ctg()
-        platform = mpeg_platform()
-        set_deadline_from_makespan(ctg, platform, 1.3)
-        analysis = CtgAnalysis.of(ctg)
-        rng = np.random.default_rng(21)
-        distributions = [_random_distribution(ctg, rng) for _ in range(6)]
-
-        nominal = dls_schedule(ctg, platform, analysis=analysis)
-        batch = BatchSchedule.from_ctg(nominal, analysis)
-        structure = structure_for(nominal, analysis.scenarios, analysis.path_cache)
-        report = batched_stretch(batch, structure, distributions)
-
-        for i, dist in enumerate(distributions):
-            schedule = dls_schedule(ctg, platform, analysis=analysis)
-            scalar = stretch_schedule(schedule, dist, analysis=analysis)
-            assert report.path_count == scalar.path_count
-            for task in ctg.tasks():
-                assert report.speed_map(i)[task] == pytest.approx(
-                    schedule.placement(task).speed, rel=1e-9, abs=1e-9
-                )
-                expected = scalar.slack_given.get(task, 0.0)
-                t = batch.task_index[task]
-                assert report.slack_given[i, t] == pytest.approx(
-                    expected, abs=1e-7
-                )
-
-    def test_matches_scalar_stretch_multi_pass(self):
-        ctg = mpeg_ctg()
-        platform = mpeg_platform()
-        set_deadline_from_makespan(ctg, platform, 1.3)
-        analysis = CtgAnalysis.of(ctg)
-        rng = np.random.default_rng(33)
-        distributions = [_random_distribution(ctg, rng) for _ in range(3)]
-        nominal = dls_schedule(ctg, platform, analysis=analysis)
-        batch = BatchSchedule.from_ctg(nominal, analysis)
-        structure = structure_for(nominal, analysis.scenarios, analysis.path_cache)
-        report = batched_stretch(batch, structure, distributions, max_passes=3)
-        for i, dist in enumerate(distributions):
-            schedule = dls_schedule(ctg, platform, analysis=analysis)
-            stretch_schedule(schedule, dist, analysis=analysis, max_passes=3)
-            for task in ctg.tasks():
-                assert report.speed_map(i)[task] == pytest.approx(
-                    schedule.placement(task).speed, rel=1e-9, abs=1e-9
-                )
-
-
 class TestMembershipMasks:
     def test_masks_pack_the_membership_matrix(self):
         ctg = mpeg_ctg()
@@ -293,38 +227,3 @@ class TestMembershipMasks:
                 1 << s for s in range(batch.n_scenarios) if batch.active[s, t]
             )
             assert batch.task_scenario_masks[t] == expected
-
-
-class TestControllerFastPath:
-    def test_prestretched_reschedule_matches_full_pipeline(self):
-        ctg = mpeg_ctg()
-        platform = mpeg_platform()
-        set_deadline_from_makespan(ctg, platform, 1.3)
-        probabilities = ctg.default_probabilities
-
-        fast = AdaptiveController(ctg, platform, probabilities)
-        assert fast.prestretch([fast.profiler.distributions()]) == 1
-        assert fast.reschedule() is False  # no fallback needed
-        assert fast.stats.counters.get("reschedule.prestretched") == 1
-
-        slow = AdaptiveController(ctg, platform, probabilities)
-        assert slow.reschedule() is False
-        assert slow.stats.counters.get("reschedule.prestretched") is None
-
-        for task in ctg.tasks():
-            assert fast.schedule.placement(task).speed == pytest.approx(
-                slow.schedule.placement(task).speed, rel=1e-9
-            )
-            assert fast.schedule.placement(task).pe == slow.schedule.placement(task).pe
-
-    def test_cache_miss_falls_back_to_full_pipeline(self):
-        ctg = mpeg_ctg()
-        platform = mpeg_platform()
-        set_deadline_from_makespan(ctg, platform, 1.3)
-        probabilities = ctg.default_probabilities
-        controller = AdaptiveController(ctg, platform, probabilities)
-        # a distribution the cache has never seen: full pipeline runs
-        rng = np.random.default_rng(1)
-        controller.prestretch([_random_distribution(ctg, rng)])
-        assert controller.reschedule() is False
-        assert controller.stats.counters.get("reschedule.prestretched") is None

@@ -3,49 +3,25 @@ object-walking implementations, on randomly generated instances.
 
 The contract under test (see ``docs/algorithms.md`` §6.5): for any
 generable CTG/platform pair, the array-native kernels agree elementwise
-with the scalar loops they batch — the executor for replay, the
-stretching heuristic for speeds — and the struct-of-arrays round trip
-is bit-exact.
+with the executor replay they batch, and the struct-of-arrays round
+trip is bit-exact.  (Stretching is checked against its scalar oracle in
+``tests/test_stretching_oracle.py``.)
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch import (
     BatchSchedule,
-    batched_stretch,
     monte_carlo,
     scenario_energies,
     scenario_finish_times,
 )
-from repro.ctg import CtgAnalysis, GeneratorConfig, generate_ctg
-from repro.platform import PlatformConfig, generate_platform
-from repro.scheduling import (
-    dls_schedule,
-    schedule_online,
-    set_deadline_from_makespan,
-    stretch_schedule,
-)
-from repro.scheduling.pathcache import structure_for
+from repro.scheduling import schedule_online
 from repro.sim import InstanceExecutor
 
-
-def build_instance(nodes, branches, category, pes, seed, factor):
-    cfg = GeneratorConfig(nodes=nodes, branch_nodes=branches, category=category, seed=seed)
-    ctg = generate_ctg(cfg)
-    platform = generate_platform(ctg.tasks(), PlatformConfig(pes=pes, seed=seed))
-    set_deadline_from_makespan(ctg, platform, factor)
-    return ctg, platform
-
-
-def decisions_of(scenario, ctg):
-    vector = {}
-    for branch in ctg.branch_nodes():
-        chosen = scenario.product.label_for(branch)
-        vector[branch] = chosen if chosen is not None else ctg.outcomes_of(branch)[0]
-    return vector
+from .instances import build_instance, decisions_of
 
 
 @settings(max_examples=10, deadline=None)
@@ -130,50 +106,6 @@ def test_monte_carlo_agrees_with_executor_elementwise(
         assert result.finish_times[i] == pytest.approx(outcome.finish_time, abs=1e-9)
         assert result.energies[i] == pytest.approx(outcome.energy, rel=1e-9)
         assert bool(result.deadline_met[i]) == outcome.deadline_met
-
-
-@settings(max_examples=8, deadline=None)
-@given(
-    nodes=st.integers(12, 24),
-    branches=st.integers(1, 3),
-    category=st.sampled_from([1, 2]),
-    pes=st.integers(2, 3),
-    seed=st.integers(0, 300),
-    dist_seed=st.integers(0, 50),
-)
-def test_batched_stretch_agrees_with_scalar(
-    nodes, branches, category, pes, seed, dist_seed
-):
-    """One batched sweep over N random distributions produces the same
-    speeds as N scalar stretch_schedule calls (shared tolerances)."""
-    try:
-        ctg, platform = build_instance(nodes, branches, category, pes, seed, 1.4)
-    except ValueError:
-        return
-    analysis = CtgAnalysis.of(ctg)
-    rng = np.random.default_rng(dist_seed)
-    distributions = []
-    for _ in range(3):
-        dist = {}
-        for branch in ctg.branch_nodes():
-            labels = ctg.outcomes_of(branch)
-            weights = rng.uniform(0.05, 1.0, size=len(labels))
-            weights /= weights.sum()
-            dist[branch] = dict(zip(labels, weights))
-        distributions.append(dist)
-
-    nominal = dls_schedule(ctg, platform, analysis=analysis)
-    batch = BatchSchedule.from_ctg(nominal, analysis)
-    structure = structure_for(nominal, analysis.scenarios, analysis.path_cache)
-    report = batched_stretch(batch, structure, distributions)
-    for i, dist in enumerate(distributions):
-        schedule = dls_schedule(ctg, platform, analysis=analysis)
-        stretch_schedule(schedule, dist, analysis=analysis)
-        speeds = report.speed_map(i)
-        for task in ctg.tasks():
-            assert speeds[task] == pytest.approx(
-                schedule.placement(task).speed, rel=1e-9, abs=1e-9
-            )
 
 
 @settings(max_examples=8, deadline=None)

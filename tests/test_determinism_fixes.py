@@ -100,24 +100,22 @@ class TestKernelDtypePins:
         assert kernel_findings == []
 
     def test_stretch_pipeline_stays_float64_end_to_end(self):
-        """Exercise the fixed accumulator path and pin the output dtype."""
+        """Pin the stretching pipeline's output dtype end to end."""
         import numpy as np
 
-        from repro.batch import BatchSchedule, batched_stretch
         from repro.ctg import CtgAnalysis
-        from repro.scheduling import dls_schedule, set_deadline_from_makespan
-        from repro.scheduling.pathcache import structure_for
+        from repro.scheduling import (
+            dls_schedule,
+            set_deadline_from_makespan,
+            stretch_schedule,
+        )
         from repro.workloads import mpeg_ctg, mpeg_platform
 
         ctg, platform = mpeg_ctg(), mpeg_platform()
         set_deadline_from_makespan(ctg, platform, 1.3)
         analysis = CtgAnalysis.of(ctg)
-        nominal = dls_schedule(ctg, platform, analysis=analysis)
-        batch = BatchSchedule.from_ctg(nominal, analysis)
-        structure = structure_for(nominal, analysis.scenarios, analysis.path_cache)
-        report = batched_stretch(batch, structure, [ctg.default_probabilities])
-        speeds = np.asarray(
-            [report.speed_map(0)[task] for task in sorted(ctg.tasks())]
-        )
+        schedule = dls_schedule(ctg, platform, analysis=analysis)
+        report = stretch_schedule(schedule, analysis=analysis)
+        speeds = np.asarray([report.speeds[task] for task in sorted(ctg.tasks())])
         assert speeds.dtype == np.float64
         assert np.isfinite(speeds).all()

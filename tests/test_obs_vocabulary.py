@@ -125,16 +125,12 @@ def runtime_names():
         schedule_online(small, small_platform, profiler=profiler, speed_policy=family)
         names |= _names_of(profiler)
 
-    # -- batched Monte-Carlo sweep + pre-stretched re-schedule fast path
+    # -- batched Monte-Carlo sweep
     profiler = StageProfiler()
     monte_carlo(
         ctg, platform, 64, seed=1, probabilities=probabilities, profiler=profiler
     )
     names |= _names_of(profiler)
-    batched = AdaptiveController(ctg, platform, probabilities)
-    batched.prestretch([batched.profiler.distributions()])
-    batched.reschedule()
-    names |= _names_of(batched.stats)
 
     # -- scheduling failure: fallback schedule + its counter
     fallback_ctg = two_sided_branch_ctg()

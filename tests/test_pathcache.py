@@ -1,9 +1,9 @@
 """Path-analytics cache: fingerprints, reuse, and equivalence.
 
-The tentpole contract: with caching and vectorization on (the
-defaults), repeated ``schedule_online`` calls must produce exactly the
-schedules the scalar seed implementation produced — the cache is keyed
-so that any change to the mapping/ordering or the probability snapshot
+The contract: repeated ``schedule_online`` calls through the cache must
+produce exactly the schedules the uncached scalar oracle
+(``tests/oracles/stretching.py``) produces — the cache is keyed so that
+any change to the mapping/ordering or the probability snapshot
 transparently rebuilds what it must.
 """
 
@@ -23,6 +23,8 @@ from repro.scheduling import (
 )
 from repro.workloads.cruise import cruise_ctg, cruise_platform
 from repro.workloads.mpeg import mpeg_ctg, mpeg_platform
+
+from .oracles.stretching import reference_online
 
 
 def _workload(name):
@@ -120,9 +122,7 @@ class TestEquivalence:
         ctg, platform = _workload(name)
         analysis = CtgAnalysis.of(ctg)
         probs = ctg.default_probabilities
-        scalar = schedule_online(
-            ctg, platform, probs, analysis=analysis, vectorized=False, use_cache=False
-        )
+        scalar = reference_online(ctg, platform, probs, analysis)
         fast = schedule_online(ctg, platform, probs, analysis=analysis)
         again = schedule_online(ctg, platform, probs, analysis=analysis)
 
@@ -158,9 +158,7 @@ class TestEquivalence:
         # warm the cache with the default distribution first, as the
         # adaptive controller does before drift hits
         schedule_online(ctg, platform, analysis=analysis)
-        scalar = schedule_online(
-            ctg, platform, probs, analysis=analysis, vectorized=False, use_cache=False
-        )
+        scalar = reference_online(ctg, platform, probs, analysis)
         fast = schedule_online(ctg, platform, probs, analysis=analysis)
         for task in scalar.schedule.placements:
             assert fast.schedule.placement(task).speed == pytest.approx(

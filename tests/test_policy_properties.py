@@ -10,9 +10,10 @@ generated instances:
   never consumes more energy than the static replay of the same
   instance with the same actual execution times, and never finishes
   later than its WCET budget allows;
-* **scalar/batch quantisation agreement** — ``quantize_speed`` (the
-  scalar rule the policy applies) and ``_clamp_speeds`` (the
-  vectorised kernel rule) are bit-identical on arbitrary inputs.
+* **quantisation agreement** — ``DiscreteDvfs.clamp`` (the linear
+  table scan every discrete PE and policy applies) is bit-identical to
+  an independent ``numpy.searchsorted`` formulation of the same
+  envelope-then-round-up rule on arbitrary inputs.
 """
 
 import random
@@ -21,35 +22,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.kernels import _clamp_speeds
 from repro.check.tolerances import EXACT_EPS, TIME_EPS
-from repro.ctg import GeneratorConfig, enumerate_scenarios, generate_ctg
-from repro.platform import PlatformConfig, generate_platform
-from repro.scheduling import schedule_online, set_deadline_from_makespan
-from repro.scheduling.policies import (
-    DiscreteSpeedPolicy,
-    PreemptiveSpeedPolicy,
-    quantize_speed,
-)
+from repro.ctg import enumerate_scenarios
+from repro.platform.frequency import DiscreteDvfs
+from repro.scheduling import schedule_online
+from repro.scheduling.policies import DiscreteSpeedPolicy, PreemptiveSpeedPolicy
 from repro.sim import InstanceExecutor
 
-
-def build_instance(nodes, branches, category, pes, seed, factor):
-    cfg = GeneratorConfig(
-        nodes=nodes, branch_nodes=branches, category=category, seed=seed
-    )
-    ctg = generate_ctg(cfg)
-    platform = generate_platform(ctg.tasks(), PlatformConfig(pes=pes, seed=seed))
-    set_deadline_from_makespan(ctg, platform, factor)
-    return ctg, platform
-
-
-def decisions_of(scenario, ctg):
-    vector = {}
-    for branch in ctg.branch_nodes():
-        chosen = scenario.product.label_for(branch)
-        vector[branch] = chosen if chosen is not None else ctg.outcomes_of(branch)[0]
-    return vector
+from .instances import build_instance, decisions_of
 
 
 @settings(max_examples=10, deadline=None)
@@ -122,19 +102,24 @@ def test_preemptive_reclamation_never_increases_energy(
 )
 def test_scalar_and_batch_quantisation_agree(speed, min_speed, table):
     levels = tuple(sorted(table))
-    scalar = quantize_speed(speed, min_speed, levels)
-    batch = _clamp_speeds(
-        np.asarray([speed], dtype=float), min_speed, np.asarray(levels)
-    )
-    assert scalar == batch[0], (speed, min_speed, levels)
+    scalar = DiscreteDvfs(levels).clamp(speed, min_speed)
+    batch = _searchsorted_clamp(speed, min_speed, np.asarray(levels))
+    assert scalar == batch, (speed, min_speed, levels)
+
+
+def _searchsorted_clamp(speed, min_speed, levels):
+    """Envelope clamp, then round up onto ``levels`` by bisection."""
+    clamped = np.clip(speed, min_speed, 1.0)
+    idx = np.searchsorted(levels, clamped - EXACT_EPS, side="left")
+    return levels[min(int(idx), levels.size - 1)]
 
 
 def test_quantisation_examples_round_up():
-    levels = (0.25, 0.5, 0.75, 1.0)
-    assert quantize_speed(0.3, 0.25, levels) == 0.5
-    assert quantize_speed(0.5, 0.25, levels) == 0.5
-    assert quantize_speed(0.9, 0.25, levels) == 1.0
+    table = DiscreteDvfs((0.25, 0.5, 0.75, 1.0))
+    assert table.clamp(0.3, 0.25) == 0.5
+    assert table.clamp(0.5, 0.25) == 0.5
+    assert table.clamp(0.9, 0.25) == 1.0
     # above the table: capped at the top level
-    assert quantize_speed(1.2, 0.25, (0.25, 0.5)) == 0.5
+    assert DiscreteDvfs((0.25, 0.5)).clamp(1.2, 0.25) == 0.5
     # below the floor: the envelope clamp applies first
-    assert quantize_speed(0.1, 0.4, levels) == 0.5
+    assert table.clamp(0.1, 0.4) == 0.5

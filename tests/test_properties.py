@@ -17,23 +17,7 @@ from repro.platform import PlatformConfig, generate_platform
 from repro.scheduling import schedule_online, set_deadline_from_makespan
 from repro.sim import InstanceExecutor
 
-
-def build_instance(nodes, branches, category, pes, seed, factor):
-    cfg = GeneratorConfig(nodes=nodes, branch_nodes=branches, category=category, seed=seed)
-    ctg = generate_ctg(cfg)
-    platform = generate_platform(ctg.tasks(), PlatformConfig(pes=pes, seed=seed))
-    set_deadline_from_makespan(ctg, platform, factor)
-    return ctg, platform
-
-
-def decisions_of(scenario, ctg):
-    """A full decision vector realising ``scenario`` (inactive branches
-    get an arbitrary outcome — they are never consulted)."""
-    vector = {}
-    for branch in ctg.branch_nodes():
-        chosen = scenario.product.label_for(branch)
-        vector[branch] = chosen if chosen is not None else ctg.outcomes_of(branch)[0]
-    return vector
+from .instances import build_instance, decisions_of
 
 
 @settings(max_examples=12, deadline=None)
