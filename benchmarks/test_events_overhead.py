@@ -1,6 +1,6 @@
 """Bench: the run-event ledger must be free when off and cheap when on.
 
-The fleet-telemetry layer threads an optional :class:`EventLedger`
+The run-telemetry layer threads an optional :class:`EventLedger`
 through the engine's streaming loop.  Two promises keep it honest:
 
 * **off** — ``run_spec(events=None)`` takes the exact pre-ledger code

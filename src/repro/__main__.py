@@ -4,19 +4,17 @@ Usage
 -----
     python -m repro list
     python -m repro run table1 [table3 figure4 ...] | all
-        [--jobs N] [--cache-dir DIR | --cache URI] [--resume]
-        [--workers local|fleet] [--reorder-window N] [--format text|json]
-        [--artifacts-dir DIR] [--smoke] [--policy continuous|discrete|...]
-        [--live] [--heartbeat SECONDS]
+        [--jobs N] [--cache-dir DIR] [--resume] [--reorder-window N]
+        [--format text|json] [--artifacts-dir DIR] [--canonical] [--smoke]
+        [--policy continuous|discrete|...] [--trace-dir DIR] [--live]
+        [--profile]
     python -m repro chaos [--smoke] [--gate] [--workloads mpeg ...]
         [--plans overrun ...] [--policies default none] [--length N]
-        [--jobs N] [--cache-dir DIR | --cache URI] [--resume]
-        [--workers local|fleet] [--format text|json]
-        [--artifacts-dir DIR] [--no-canonical]
-        [--policy continuous|discrete|...] [--live] [--heartbeat SECONDS]
-    python -m repro cache stats|verify|prune|gc CACHE
+        [--jobs N] [--cache-dir DIR] [--resume] [--reorder-window N]
+        [--format text|json] [--artifacts-dir DIR] [--no-canonical]
+        [--policy continuous|discrete|...] [--trace-dir DIR] [--live]
+    python -m repro cache stats|verify|prune|gc CACHE_DIR
         [--older-than DAYS] [--keep-artifact FILE ...] [--json]
-    python -m repro worker
     python -m repro schedule INSTANCE.json [--deadline-factor 1.3] [--check]
         [--profile]
     python -m repro check INSTANCE.json|mpeg|cruise|wlan ... [--json]
@@ -30,13 +28,10 @@ Usage
 
 ``run`` regenerates the requested tables/figures through the
 experiment engine (:mod:`repro.experiments.engine`): cells fan out
-over ``--jobs`` worker processes on the ``--workers`` substrate
-(``local`` process pool, or a ``fleet`` of spawned ``repro worker``
-protocol subprocesses), ``--cache-dir DIR`` / ``--cache URI``
-memoizes cell results in a pluggable backend (``sqlite:results.db``
-selects the single-file SQLite store; a plain path the directory
-tree), ``--resume`` continues an interrupted sweep from whatever the
-cache already holds, ``--format json``
+over ``--jobs`` worker processes, ``--cache-dir DIR`` memoizes cell
+results in a content-addressed directory tree, ``--resume`` continues
+an interrupted sweep from whatever the cache already holds,
+``--format json``
 prints the structured artifact instead of the rendered table,
 ``--artifacts-dir`` additionally writes one ``<experiment>.json``
 artifact per run, and ``--smoke`` shrinks every experiment to a
@@ -60,28 +55,24 @@ Chrome trace plus a byte-stable canonical metrics snapshot;
 package writes — a Chrome trace, an experiment artifact, a metrics
 snapshot or a ``repro.events/1`` ledger; given *several* files (or
 whole shard directories) it merges them into one fleet report
-(``repro.fleet/1``: cross-shard cell/cache totals, per-worker
-utilisation, merged stages and the recovery table), and
+(``repro.fleet/2``: cross-shard cell/cache totals, merged stages and
+the recovery table), and
 ``--diff A B`` compares two runs (cache hit-rate, counter and timing
 deltas — see ``docs/observability.md``); ``run``/``chaos`` accept
 ``--trace-dir DIR`` to trace the engine run itself (one span per
 cell), write an ``<experiment>.events.jsonl`` run-event ledger next
 to each artifact when ``--artifacts-dir`` is given, and render a
-single-line live progress view with ``--live``; ``--heartbeat
-SECONDS`` turns on fleet worker telemetry (heartbeats, per-worker
-profiles, stalled-worker detection); ``tail`` replays a ledger as
+single-line live progress view with ``--live``; ``tail`` replays a ledger as
 human-readable lines (``--follow`` to stream a live one,
 ``--canonical`` to print the canonicalised byte-stable form CI
 ``cmp``\\ s); ``run``/``schedule`` accept ``--profile`` to print the
 stage-timing/counter table that previously was silently discarded;
-``cache`` inspects and maintains a cell cache under either backend
-(``stats``, ``verify``, age-based ``prune`` that never touches
-fingerprints referenced by ``--keep-artifact`` files, ``gc`` of
-corrupt entries and stray temp files — ``stats``/``verify`` take
-``--json`` for machine-readable output); ``worker`` runs the fleet
-worker loop (cells in, payloads out over the length-prefixed
-stdin/stdout frame protocol — spawned by ``--workers fleet``, rarely
-by hand); ``demo`` schedules the paper's Figure-1 example.
+``cache`` inspects and maintains a cell cache directory (``stats``,
+``verify``, age-based ``prune`` that never touches fingerprints
+referenced by ``--keep-artifact`` files, ``gc`` of corrupt entries and
+stray temp files — ``stats``/``verify`` take ``--json`` for
+machine-readable output); ``demo`` schedules the paper's Figure-1
+example.
 """
 
 from __future__ import annotations
@@ -259,23 +250,6 @@ POLICY_EXPERIMENTS: Dict[str, Callable[[bool, str], ExperimentSpec]] = {
 }
 
 
-def _cli_cache(args: argparse.Namespace):
-    """The cache selected by ``--cache``/``--cache-dir`` (or ``None``).
-
-    Raises
-    ------
-    repro.experiments.BackendError
-        When both flags are given, or the URI is malformed.
-    """
-    uri = getattr(args, "cache", None)
-    directory = getattr(args, "cache_dir", None)
-    if uri and directory:
-        raise experiments.BackendError(
-            "--cache and --cache-dir are mutually exclusive"
-        )
-    return experiments.resolve_cache(uri or directory)
-
-
 def _cmd_list(_args: argparse.Namespace) -> int:
     print("available experiments:")
     for name in EXPERIMENTS:
@@ -310,7 +284,7 @@ def _make_ledger(args: argparse.Namespace, name: str):
     to the artifact; ``--live`` alone keeps the ledger in memory purely
     to drive the progress view.  The caller owns ``close()``.
     """
-    if not getattr(args, "artifacts_dir", None) and not args.live:
+    if not args.artifacts_dir and not args.live:
         return None
     from .obs import EventLedger, LiveProgress
 
@@ -323,6 +297,39 @@ def _make_ledger(args: argparse.Namespace, name: str):
     if args.live:
         ledger.subscribe(LiveProgress())
     return ledger
+
+
+def _run_engine(args: argparse.Namespace, spec: ExperimentSpec, name: str):
+    """One engine run under the shared ``run``/``chaos`` flags.
+
+    Builds the tracer (``--trace-dir``) and the ledger, calls
+    :func:`~repro.experiments.run_spec`, closes the ledger and writes
+    the engine trace; returns the report.
+    """
+    tracer = None
+    if args.trace_dir is not None:
+        from .obs import Tracer
+
+        tracer = Tracer()
+    ledger = _make_ledger(args, name)
+    try:
+        report = experiments.run_spec(
+            spec,
+            jobs=args.jobs,
+            cache=args.cache_dir,
+            tracer=tracer,
+            resume=args.resume,
+            reorder_window=args.reorder_window,
+            events=ledger,
+        )
+    finally:
+        if ledger is not None:
+            ledger.close()
+    if ledger is not None and ledger.path is not None:
+        print(f"[events ledger: {ledger.path}]", file=sys.stderr)
+    if tracer is not None:
+        _write_engine_trace(args.trace_dir, name, report, tracer)
+    return report
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -341,50 +348,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    try:
-        cache = _cli_cache(args)
-    except experiments.BackendError as exc:
-        print(f"run: {exc}", file=sys.stderr)
+    if args.resume and args.cache_dir is None:
+        print("run: --resume requires --cache-dir", file=sys.stderr)
         return 2
-    if args.resume and cache is None:
-        print("run: --resume requires --cache or --cache-dir", file=sys.stderr)
-        return 2
-    artifacts_dir = Path(args.artifacts_dir) if args.artifacts_dir else None
     for name in names:
         if args.policy != "continuous":
             spec = POLICY_EXPERIMENTS[name](args.smoke, args.policy)
         else:
             spec = EXPERIMENTS[name](args.smoke)
-        tracer = None
-        if args.trace_dir is not None:
-            from .obs import Tracer
-
-            tracer = Tracer()
-        ledger = _make_ledger(args, name)
-        try:
-            report = experiments.run_spec(
-                spec,
-                jobs=args.jobs,
-                cache=cache,
-                tracer=tracer,
-                workers=args.workers,
-                resume=args.resume,
-                reorder_window=args.reorder_window,
-                events=ledger,
-                heartbeat=args.heartbeat,
+        report = _run_engine(args, spec, name)
+        if args.artifacts_dir is not None:
+            path = experiments.write_artifact(
+                args.artifacts_dir, report, canonical=args.canonical
             )
-        finally:
-            if ledger is not None:
-                ledger.close()
-        if ledger is not None and ledger.path is not None:
-            print(f"[events ledger: {ledger.path}]", file=sys.stderr)
-        if artifacts_dir is not None:
-            write_artifact_path = experiments.write_artifact(
-                artifacts_dir, report, canonical=args.canonical
-            )
-            print(f"[artifact written: {write_artifact_path}]", file=sys.stderr)
-        if tracer is not None:
-            _write_engine_trace(args.trace_dir, name, report, tracer)
+            print(f"[artifact written: {path}]", file=sys.stderr)
         if args.format == "json":
             print(json.dumps(experiments.artifact_payload(report), indent=2))
         else:
@@ -435,37 +412,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"chaos: {exc}", file=sys.stderr)
         return 2
-    try:
-        cache = _cli_cache(args)
-    except experiments.BackendError as exc:
-        print(f"chaos: {exc}", file=sys.stderr)
+    if args.resume and args.cache_dir is None:
+        print("chaos: --resume requires --cache-dir", file=sys.stderr)
         return 2
-    if args.resume and cache is None:
-        print("chaos: --resume requires --cache or --cache-dir", file=sys.stderr)
-        return 2
-    tracer = None
-    if args.trace_dir is not None:
-        from .obs import Tracer
-
-        tracer = Tracer()
-    ledger = _make_ledger(args, "chaos")
-    try:
-        report = experiments.run_spec(
-            spec,
-            jobs=args.jobs,
-            cache=cache,
-            tracer=tracer,
-            workers=args.workers,
-            resume=args.resume,
-            reorder_window=args.reorder_window,
-            events=ledger,
-            heartbeat=args.heartbeat,
-        )
-    finally:
-        if ledger is not None:
-            ledger.close()
-    if ledger is not None and ledger.path is not None:
-        print(f"[events ledger: {ledger.path}]", file=sys.stderr)
+    report = _run_engine(args, spec, "chaos")
     if args.artifacts_dir is not None:
         canonical = not args.no_canonical
         path = experiments.write_artifact(
@@ -473,8 +423,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         )
         kind = "canonical artifact" if canonical else "artifact"
         print(f"[{kind} written: {path}]", file=sys.stderr)
-    if tracer is not None:
-        _write_engine_trace(args.trace_dir, "chaos", report, tracer)
     if args.format == "json":
         build = (
             experiments.artifact_payload
@@ -510,12 +458,12 @@ _DAY_SECONDS = 86400.0
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    """``repro cache stats|verify|prune|gc`` against either backend."""
-    try:
-        store = experiments.resolve_cache(args.store)
-    except experiments.BackendError as exc:
-        print(f"cache: {exc}", file=sys.stderr)
+    """``repro cache stats|verify|prune|gc`` on one cache directory."""
+    if not Path(args.store).is_dir():
+        # a mistyped path must not pass for an empty cache
+        print(f"cache: no cache at {args.store}", file=sys.stderr)
         return 2
+    store = experiments.CellCache(args.store)
     keep = set()
     for artifact_path in args.keep_artifact or ():
         try:
@@ -524,73 +472,63 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             print(f"cache: cannot read {artifact_path}: {exc}", file=sys.stderr)
             return 2
         keep |= {cell["fingerprint"] for cell in artifact["cells"]}
-    try:
-        if args.action == "stats":
-            fingerprints = store.fingerprints()
-            if args.json:
-                print(
-                    json.dumps(
-                        {
-                            "backend": store.describe(),
-                            "entries": len(fingerprints),
-                            "size_bytes": store.backend.size_bytes(),
-                        },
-                        indent=2,
-                        sort_keys=True,
-                    )
+    if args.action == "stats":
+        fingerprints = store.fingerprints()
+        if args.json:
+            print(
+                json.dumps(
+                    {
+                        "backend": store.describe(),
+                        "entries": len(fingerprints),
+                        "size_bytes": store.size_bytes(),
+                    },
+                    indent=2,
+                    sort_keys=True,
                 )
-                return 0
-            print(f"backend:  {store.describe()}")
-            print(f"entries:  {len(fingerprints)}")
-            print(f"size:     {store.backend.size_bytes()} bytes")
-            return 0
-        if args.action == "verify":
-            checked, corrupt = store.verify()
-            if args.json:
-                print(
-                    json.dumps(
-                        {"checked": checked, "corrupt": sorted(corrupt)},
-                        indent=2,
-                        sort_keys=True,
-                    )
-                )
-                return 1 if corrupt else 0
-            print(f"checked {checked} entr{'y' if checked == 1 else 'ies'}: "
-                  f"{len(corrupt)} corrupt")
-            for fp in corrupt:
-                print(f"corrupt: {fp}")
-            return 1 if corrupt else 0
-        if args.action == "prune":
-            if args.older_than is None:
-                print(
-                    "cache: prune requires --older-than DAYS "
-                    "(0 evicts every unprotected entry)",
-                    file=sys.stderr,
-                )
-                return 2
-            removed = store.prune(
-                older_than_seconds=args.older_than * _DAY_SECONDS, keep=keep
             )
-            protected = f", {len(keep)} protected" if keep else ""
-            print(f"pruned {len(removed)} entr{'y' if len(removed) == 1 else 'ies'}"
-                  f"{protected}")
             return 0
-        counts = store.gc()
-        print(
-            f"gc: removed {counts['corrupt_removed']} corrupt entr"
-            f"{'y' if counts['corrupt_removed'] == 1 else 'ies'}, "
-            f"{counts['tmp_removed']} stray temp file(s)"
-        )
+        print(f"backend:  {store.describe()}")
+        print(f"entries:  {len(fingerprints)}")
+        print(f"size:     {store.size_bytes()} bytes")
         return 0
-    finally:
-        store.close()
-
-
-def _cmd_worker(_args: argparse.Namespace) -> int:
-    """``repro worker``: the fleet-subprocess frame-protocol loop."""
-    from .experiments.workers import worker_main
-
-    return worker_main(sys.stdin.buffer, sys.stdout.buffer)
+    if args.action == "verify":
+        checked, corrupt = store.verify()
+        if args.json:
+            print(
+                json.dumps(
+                    {"checked": checked, "corrupt": sorted(corrupt)},
+                    indent=2,
+                    sort_keys=True,
+                )
+            )
+            return 1 if corrupt else 0
+        print(f"checked {checked} entr{'y' if checked == 1 else 'ies'}: "
+              f"{len(corrupt)} corrupt")
+        for fp in corrupt:
+            print(f"corrupt: {fp}")
+        return 1 if corrupt else 0
+    if args.action == "prune":
+        if args.older_than is None:
+            print(
+                "cache: prune requires --older-than DAYS "
+                "(0 evicts every unprotected entry)",
+                file=sys.stderr,
+            )
+            return 2
+        removed = store.prune(
+            older_than_seconds=args.older_than * _DAY_SECONDS, keep=keep
+        )
+        protected = f", {len(keep)} protected" if keep else ""
+        print(f"pruned {len(removed)} entr{'y' if len(removed) == 1 else 'ies'}"
+              f"{protected}")
+        return 0
+    counts = store.gc()
+    print(
+        f"gc: removed {counts['corrupt_removed']} corrupt entr"
+        f"{'y' if counts['corrupt_removed'] == 1 else 'ies'}, "
+        f"{counts['tmp_removed']} stray temp file(s)"
+    )
+    return 0
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
@@ -917,6 +855,79 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _engine_flags() -> argparse.ArgumentParser:
+    """The engine flags ``run`` and ``chaos`` share (an argparse parent)."""
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=None,
+        metavar="N",
+        help="worker processes for independent cells "
+        "(default: os.cpu_count(); 1 = inline, no pool)",
+    )
+    engine.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="DIR",
+        help="content-addressed cell cache directory (e.g. .repro-cache); "
+        "omit to disable caching",
+    )
+    engine.add_argument(
+        "--resume",
+        action="store_true",
+        help="continue an interrupted sweep: cells already in the cache "
+        "are skipped (requires --cache-dir)",
+    )
+    engine.add_argument(
+        "--reorder-window",
+        type=_positive_int,
+        default=None,
+        metavar="N",
+        help="bound on in-flight cells / resident out-of-order results "
+        "(default: 1 serial, max(8, 2*jobs) parallel)",
+    )
+    engine.add_argument(
+        "--smoke",
+        action="store_true",
+        help="shrink the run to a seconds-scale configuration (for CI and "
+        "quick sanity runs)",
+    )
+    engine.add_argument(
+        "--trace-dir",
+        default=None,
+        metavar="DIR",
+        help="write a Chrome trace (<experiment>.trace.json) and a "
+        "canonical metrics snapshot (<experiment>.metrics.json) of "
+        "each engine run",
+    )
+    engine.add_argument(
+        "--policy",
+        choices=tuple(sorted(SPEED_POLICIES)),
+        default="continuous",
+        help="speed-selection policy (default: continuous, the paper's "
+        "stretching); run accepts it only for policy-aware experiments",
+    )
+    engine.add_argument(
+        "--live",
+        action="store_true",
+        help="render a single-line live progress view (cells done/total, "
+        "warm-hit %%, cells/s, ETA) from the run-event stream",
+    )
+    return engine
+
+
 def main(argv=None) -> int:
     """Entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -927,52 +938,11 @@ def main(argv=None) -> int:
 
     sub.add_parser("list", help="list available experiments").set_defaults(func=_cmd_list)
 
-    run = sub.add_parser("run", help="run experiments by name (or 'all')")
+    engine = _engine_flags()
+    run = sub.add_parser(
+        "run", parents=[engine], help="run experiments by name (or 'all')"
+    )
     run.add_argument("names", nargs="+", metavar="EXPERIMENT")
-    run.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for independent cells "
-        "(default: os.cpu_count(); 1 = inline, no pool)",
-    )
-    run.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="content-addressed cell cache directory (e.g. .repro-cache); "
-        "omit to disable caching",
-    )
-    run.add_argument(
-        "--cache",
-        default=None,
-        metavar="URI",
-        help="cache backend URI: a plain directory path, dir:PATH, or "
-        "sqlite:PATH (single-file store); mutually exclusive with "
-        "--cache-dir",
-    )
-    run.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue an interrupted sweep: cells already in the cache "
-        "are skipped (requires --cache or --cache-dir)",
-    )
-    run.add_argument(
-        "--workers",
-        choices=("local", "fleet", "subprocess-fleet"),
-        default="local",
-        help="dispatch substrate for cache-missing cells: a local process "
-        "pool, or a fleet of spawned 'repro worker' subprocesses",
-    )
-    run.add_argument(
-        "--reorder-window",
-        type=int,
-        default=None,
-        metavar="N",
-        help="bound on in-flight cells / resident out-of-order results "
-        "(default: 1 serial, max(8, 2*jobs) parallel)",
-    )
     run.add_argument(
         "--format",
         choices=("text", "json"),
@@ -993,50 +963,15 @@ def main(argv=None) -> int:
         "byte-stable across runs and --jobs settings)",
     )
     run.add_argument(
-        "--smoke",
-        action="store_true",
-        help="shrink every experiment to a seconds-scale configuration",
-    )
-    run.add_argument(
-        "--trace-dir",
-        default=None,
-        metavar="DIR",
-        help="write a Chrome trace (<experiment>.trace.json) and a "
-        "canonical metrics snapshot (<experiment>.metrics.json) of "
-        "each engine run",
-    )
-    run.add_argument(
         "--profile",
         action="store_true",
         help="print each experiment's aggregated stage-timing/counter table",
-    )
-    run.add_argument(
-        "--policy",
-        choices=tuple(sorted(SPEED_POLICIES)),
-        default="continuous",
-        help="speed-selection policy for policy-aware experiments "
-        "(default: continuous, the paper's stretching)",
-    )
-    run.add_argument(
-        "--live",
-        action="store_true",
-        help="render a single-line live progress view (cells done/total, "
-        "warm-hit %%, cells/s, ETA, active workers) from the run-event "
-        "stream",
-    )
-    run.add_argument(
-        "--heartbeat",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="fleet worker heartbeat interval: enables worker telemetry "
-        "(per-worker profiles, stalled-worker detection) on "
-        "--workers fleet",
     )
     run.set_defaults(func=_cmd_run)
 
     chaos = sub.add_parser(
         "chaos",
+        parents=[engine],
         help="fault-injection matrix under degradation policies",
     )
     chaos.add_argument(
@@ -1068,35 +1003,6 @@ def main(argv=None) -> int:
         metavar="N",
         help="trace length per cell (default: full 400, smoke 150)",
     )
-    chaos.add_argument("--jobs", type=int, default=None, metavar="N")
-    chaos.add_argument("--cache-dir", default=None, metavar="DIR")
-    chaos.add_argument(
-        "--cache",
-        default=None,
-        metavar="URI",
-        help="cache backend URI (dir:PATH or sqlite:PATH); mutually "
-        "exclusive with --cache-dir",
-    )
-    chaos.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue an interrupted matrix from the cache "
-        "(requires --cache or --cache-dir)",
-    )
-    chaos.add_argument(
-        "--workers",
-        choices=("local", "fleet", "subprocess-fleet"),
-        default="local",
-        help="dispatch substrate for cache-missing cells",
-    )
-    chaos.add_argument(
-        "--reorder-window",
-        type=int,
-        default=None,
-        metavar="N",
-        help="bound on in-flight cells (default: 1 serial, "
-        "max(8, 2*jobs) parallel)",
-    )
     chaos.add_argument(
         "--format",
         choices=("text", "json"),
@@ -1117,43 +1023,10 @@ def main(argv=None) -> int:
         "(keeps real cache statistics — used by the resume-smoke CI job)",
     )
     chaos.add_argument(
-        "--smoke",
-        action="store_true",
-        help="seconds-scale matrix for CI (mpeg, gated plans only)",
-    )
-    chaos.add_argument(
         "--gate",
         action="store_true",
         help="exit non-zero unless the default policy recovers >=90%% "
         "of threatened instances with zero unrecovered misses",
-    )
-    chaos.add_argument(
-        "--trace-dir",
-        default=None,
-        metavar="DIR",
-        help="write a Chrome trace and canonical metrics snapshot of "
-        "the chaos engine run",
-    )
-    chaos.add_argument(
-        "--policy",
-        choices=tuple(sorted(SPEED_POLICIES)),
-        default="continuous",
-        help="speed-selection policy for every cell "
-        "(default: continuous, the paper's stretching)",
-    )
-    chaos.add_argument(
-        "--live",
-        action="store_true",
-        help="render a single-line live progress view from the run-event "
-        "stream",
-    )
-    chaos.add_argument(
-        "--heartbeat",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="fleet worker heartbeat interval: enables worker telemetry "
-        "on --workers fleet",
     )
     chaos.set_defaults(func=_cmd_chaos)
 
@@ -1319,12 +1192,12 @@ def main(argv=None) -> int:
         "--canonical",
         action="store_true",
         help="print the canonicalised ledger (deterministic events and "
-        "fields only, byte-stable across --jobs/backends/resume)",
+        "fields only, byte-stable across --jobs/resume)",
     )
     tail.set_defaults(func=_cmd_tail)
 
     cache_verb = sub.add_parser(
-        "cache", help="inspect and maintain a cell cache (either backend)"
+        "cache", help="inspect and maintain a cell cache directory"
     )
     cache_verb.add_argument(
         "action",
@@ -1335,8 +1208,8 @@ def main(argv=None) -> int:
     )
     cache_verb.add_argument(
         "store",
-        metavar="CACHE",
-        help="cache directory, dir:PATH, or sqlite:PATH",
+        metavar="CACHE_DIR",
+        help="cell cache directory (as given to --cache-dir)",
     )
     cache_verb.add_argument(
         "--older-than",
@@ -1360,13 +1233,6 @@ def main(argv=None) -> int:
         help="stats/verify: emit machine-readable JSON instead of text",
     )
     cache_verb.set_defaults(func=_cmd_cache)
-
-    worker = sub.add_parser(
-        "worker",
-        help="fleet worker loop: cells in, payloads out (frame protocol "
-        "on stdin/stdout; spawned by --workers fleet)",
-    )
-    worker.set_defaults(func=_cmd_worker)
 
     sub.add_parser("demo", help="schedule the paper's Figure-1 example").set_defaults(
         func=_cmd_demo

@@ -21,15 +21,6 @@ from .artifacts import (
     validate_artifact,
     write_artifact,
 )
-from .backends import (
-    BACKEND_SCHEMES,
-    BackendError,
-    BackendReadError,
-    CacheBackend,
-    DirBackend,
-    SqliteBackend,
-    parse_backend_uri,
-)
 from .cache import ENTRY_VERSION, CacheStats, CellCache, resolve_cache
 from .chaos import (
     ChaosResult,
@@ -69,18 +60,7 @@ from .mpeg_energy import MpegResult, mpeg_spec, run_mpeg_energy
 from .runtime import RuntimeResult, run_runtime, runtime_spec
 from .spec import Cell, CellResult, ExperimentSpec, SpecError, derive_cell_seeds
 from .table1 import Table1Result, run_table1, table1_spec
-from .workers import (
-    STARTUP_GRACE_SECONDS,
-    WORKER_KINDS,
-    LocalProcessPool,
-    SerialPool,
-    SubprocessFleetPool,
-    WorkerPool,
-    read_frame,
-    resolve_pool,
-    worker_main,
-    write_frame,
-)
+from .workers import LocalProcessPool, SerialPool, WorkerPool, resolve_pool
 from .table3 import Table3Result, run_table3, table3_spec
 from .table45 import (
     BiasResult,
@@ -109,13 +89,6 @@ __all__ = [
     "ExperimentSpec",
     "SpecError",
     "derive_cell_seeds",
-    "BACKEND_SCHEMES",
-    "BackendError",
-    "BackendReadError",
-    "CacheBackend",
-    "DirBackend",
-    "SqliteBackend",
-    "parse_backend_uri",
     "ENTRY_VERSION",
     "CacheStats",
     "CellCache",
@@ -125,16 +98,10 @@ __all__ = [
     "ExperimentReport",
     "run_spec",
     "stream_reorder",
-    "STARTUP_GRACE_SECONDS",
-    "WORKER_KINDS",
     "LocalProcessPool",
     "SerialPool",
-    "SubprocessFleetPool",
     "WorkerPool",
-    "read_frame",
     "resolve_pool",
-    "worker_main",
-    "write_frame",
     "SweepResult",
     "WeightingResult",
     "run_weighting_ablation",

@@ -7,14 +7,14 @@ and the package version.  The cache therefore needs no invalidation
 protocol — a changed input simply addresses a different entry, and
 stale entries are garbage that never gets read.
 
-Storage is pluggable (:mod:`repro.experiments.backends`): the classic
-two-level-fanout directory tree (:class:`~repro.experiments.backends.
-DirBackend`) or a single-file WAL-mode SQLite store (:class:`~repro.
-experiments.backends.SqliteBackend`).  Writes are atomic under both, so
-a killed run never leaves a half-written entry behind — which is what
+Entries live in a directory tree, one JSON file per fingerprint under
+``<root>/<fp[:2]>/<fp>.json`` (the two-level fan-out keeps directories
+small).  Writes are atomic — a temp file plus :func:`os.replace` — so a
+killed run never leaves a half-written entry behind, which is what
 makes interrupted sweeps resumable (``--resume``): completed cells are
 already durable, and the engine simply skips their fingerprints on the
-next run.
+next run.  Temp names carry the pid *and* a per-process counter, so
+concurrent threads of one process can never collide on one temp file.
 
 Reads are defensive: an unreadable, unparsable or schema-mismatched
 entry counts as ``corrupt`` and is treated as a miss — the engine
@@ -31,27 +31,13 @@ never touches a protected fingerprint set) and :meth:`CellCache.gc`
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any,
-    Collection,
-    Dict,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
-
-from .backends import (
-    BackendError,
-    BackendReadError,
-    CacheBackend,
-    DirBackend,
-    parse_backend_uri,
-)
+from typing import Any, Collection, Dict, List, Optional, Tuple, Union
 
 #: Schema version of one cache entry; bumped on incompatible layout
 #: changes so old trees read as corrupt (→ recompute), not as garbage.
@@ -62,6 +48,11 @@ ENTRY_VERSION = 2
 
 #: Keys every well-formed entry must carry.
 _REQUIRED_KEYS = ("entry_version", "fingerprint", "experiment", "key", "values")
+
+#: Per-process counter folded into temp-file names; CPython's
+#: ``itertools.count`` advances under the GIL, so concurrent threads
+#: always draw distinct suffixes.
+_TMP_COUNTER = itertools.count()
 
 
 @dataclass
@@ -75,47 +66,34 @@ class CacheStats:
 
 
 class CellCache:
-    """Backend-backed store of :class:`CellResult` payloads.
+    """Directory-backed store of :class:`CellResult` payloads.
 
     Parameters
     ----------
     root:
-        Cache directory (created lazily on first write) — the
-        historical constructor form, equivalent to passing
-        ``backend=DirBackend(root)``.
-    backend:
-        An explicit :class:`~repro.experiments.backends.CacheBackend`;
-        mutually exclusive with ``root``.
+        Cache directory (created lazily on first write).
     """
 
-    def __init__(
-        self,
-        root: Union[None, str, Path] = None,
-        backend: Optional[CacheBackend] = None,
-    ) -> None:
-        if (root is None) == (backend is None):
-            raise BackendError("CellCache takes exactly one of root= or backend=")
-        self.backend: CacheBackend = (
-            backend if backend is not None else DirBackend(root)
-        )
+    def __init__(self, root: Union[str, Path]) -> None:
+        self.root = Path(root)
         self.stats = CacheStats()
 
-    @property
-    def root(self) -> Path:
-        """The store's location (directory root, or the SQLite file)."""
-        return getattr(self.backend, "root", None) or getattr(self.backend, "path")
-
     def describe(self) -> str:
-        """URI-style description of the underlying backend."""
-        return self.backend.describe()
+        """The ``dir:<root>`` description artifacts record."""
+        return f"dir:{self.root}"
 
     def path_for(self, fp: str) -> Path:
-        """On-disk location of one fingerprint's entry (dir backend)."""
-        if isinstance(self.backend, DirBackend):
-            return self.backend.path_for(fp)
-        raise BackendError(
-            f"{self.backend.describe()} stores entries as rows, not files"
-        )
+        """On-disk location of one fingerprint's entry."""
+        return self.root / fp[:2] / f"{fp}.json"
+
+    def _load(self, fp: str) -> Any:
+        """The parsed entry, ``None`` when absent; raises ``ValueError``
+        (or ``OSError``) when the file is unreadable or not JSON."""
+        try:
+            text = self.path_for(fp).read_text(encoding="utf-8")
+        except FileNotFoundError:
+            return None
+        return json.loads(text)
 
     def get(self, fp: str) -> Optional[Dict[str, Any]]:
         """The entry payload for a fingerprint, or ``None`` on miss.
@@ -125,18 +103,12 @@ class CellCache:
         ``stats.corrupt`` and reported as a miss — never raised.
         """
         try:
-            text = self.backend.read(fp)
-        except BackendReadError:
+            payload = self._load(fp)
+        except (OSError, ValueError):
             self.stats.corrupt += 1
             self.stats.misses += 1
             return None
-        if text is None:
-            self.stats.misses += 1
-            return None
-        try:
-            payload = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            self.stats.corrupt += 1
+        if payload is None:
             self.stats.misses += 1
             return None
         if not self._well_formed(payload, fp):
@@ -151,17 +123,57 @@ class CellCache:
         entry = dict(payload)
         entry["entry_version"] = ENTRY_VERSION
         entry["fingerprint"] = fp
-        path = self.backend.write(fp, json.dumps(entry, sort_keys=True))
+        path = self.path_for(fp)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}-{next(_TMP_COUNTER)}")
+        tmp.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
+        os.replace(tmp, path)
         self.stats.puts += 1
         return path
 
     def contains(self, fp: str) -> bool:
         """Whether an entry exists (no validation, no stats impact)."""
-        return self.backend.contains(fp)
+        return self.path_for(fp).exists()
 
     def fingerprints(self) -> List[str]:
         """Every stored fingerprint, sorted."""
-        return list(self.backend.fingerprints())
+        if not self.root.is_dir():
+            return []
+        return [
+            entry.stem
+            for shard in sorted(self.root.iterdir())
+            if shard.is_dir()
+            for entry in sorted(shard.glob("*.json"))
+        ]
+
+    def mtime(self, fp: str) -> Optional[float]:
+        """Last-write POSIX timestamp of one entry, or ``None``."""
+        try:
+            return self.path_for(fp).stat().st_mtime
+        except OSError:
+            return None
+
+    def remove(self, fp: str) -> bool:
+        """Delete one entry; returns whether it existed."""
+        try:
+            self.path_for(fp).unlink()
+        except FileNotFoundError:
+            return False
+        return True
+
+    def size_bytes(self) -> int:
+        """On-disk footprint of the tree (entries and temp files)."""
+        if not self.root.is_dir():
+            return 0
+        return sum(
+            p.stat().st_size for p in sorted(self.root.rglob("*")) if p.is_file()
+        )
+
+    def tmp_garbage(self) -> List[Path]:
+        """Leftover temp files from killed writers."""
+        if not self.root.is_dir():
+            return []
+        return sorted(self.root.glob("*/*.json.tmp*"))
 
     def verify(self) -> Tuple[int, List[str]]:
         """Scan every entry; returns ``(checked, corrupt_fingerprints)``.
@@ -171,12 +183,11 @@ class CellCache:
         """
         corrupt: List[str] = []
         checked = 0
-        for fp in self.backend.fingerprints():
+        for fp in self.fingerprints():
             checked += 1
             try:
-                text = self.backend.read(fp)
-                payload = None if text is None else json.loads(text)
-            except (BackendReadError, json.JSONDecodeError, UnicodeDecodeError):
+                payload = self._load(fp)
+            except (OSError, ValueError):
                 corrupt.append(fp)
                 continue
             if not self._well_formed(payload, fp):
@@ -200,14 +211,14 @@ class CellCache:
         )
         protected = set(keep)
         removed: List[str] = []
-        for fp in list(self.backend.fingerprints()):
+        for fp in self.fingerprints():
             if fp in protected:
                 continue
             if cutoff is not None:
-                mtime = self.backend.mtime(fp)
+                mtime = self.mtime(fp)
                 if mtime is not None and mtime >= cutoff:
                     continue
-            if self.backend.remove(fp):
+            if self.remove(fp):
                 removed.append(fp)
         return removed
 
@@ -215,18 +226,14 @@ class CellCache:
         """Drop corrupt entries and stray temp files; returns counts."""
         _checked, corrupt = self.verify()
         for fp in corrupt:
-            self.backend.remove(fp)
-        tmp_files = self.backend.tmp_garbage()
+            self.remove(fp)
+        tmp_files = self.tmp_garbage()
         for tmp in tmp_files:
             try:
                 tmp.unlink()
             except FileNotFoundError:
                 pass
         return {"corrupt_removed": len(corrupt), "tmp_removed": len(tmp_files)}
-
-    def close(self) -> None:
-        """Release backend resources (SQLite connection handles)."""
-        self.backend.close()
 
     @staticmethod
     def _well_formed(payload: Any, fp: str) -> bool:
@@ -241,18 +248,9 @@ class CellCache:
         return isinstance(payload["values"], dict)
 
 
-def resolve_cache(
-    cache: Union[None, str, Path, CacheBackend, CellCache],
-) -> Optional[CellCache]:
-    """Normalise the engine's ``cache`` argument.
-
-    Accepts ``None`` (caching off), a ready :class:`CellCache`, a bare
-    :class:`~repro.experiments.backends.CacheBackend`, a directory
-    path, or a ``scheme:path`` URI (``sqlite:results.db``,
-    ``dir:.repro-cache``).
-    """
+def resolve_cache(cache: Union[None, str, Path, CellCache]) -> Optional[CellCache]:
+    """Normalise the engine's ``cache`` argument: ``None`` (caching
+    off), a ready :class:`CellCache`, or a cache directory path."""
     if cache is None or isinstance(cache, CellCache):
         return cache
-    if isinstance(cache, CacheBackend):
-        return CellCache(backend=cache)
-    return CellCache(backend=parse_backend_uri(cache))
+    return CellCache(cache)

@@ -4,13 +4,11 @@
 ExperimentSpec`:
 
 1. every cell is fingerprinted and looked up in the (optional)
-   content-addressed :class:`~repro.experiments.cache.CellCache`
-   (dir or SQLite backend — see :mod:`repro.experiments.backends`);
+   content-addressed directory cache
+   :class:`~repro.experiments.cache.CellCache`;
 2. the missing cells are dispatched to a
    :class:`~repro.experiments.workers.WorkerPool` — inline for
-   ``jobs == 1``, a ``ProcessPoolExecutor`` for ``workers="local"``,
-   or spawned ``python -m repro worker`` frame-protocol processes for
-   ``workers="fleet"``;
+   ``jobs == 1``, a ``ProcessPoolExecutor`` fan-out otherwise;
 3. completions are **streamed through a bounded reorder buffer** back
    into declaration order: each result is written to the cache the
    moment it arrives (so a killed run loses at most the in-flight
@@ -22,8 +20,8 @@ ExperimentSpec`:
    dataclass.
 
 Cells are pure functions of their parameters (see ``spec.py``), so the
-reduced result is bit-identical at any ``jobs`` value, on any worker
-substrate, at any reorder-window size, and on warm or cold caches;
+reduced result is bit-identical at any ``jobs`` value, at any
+reorder-window size, and on warm or cold caches;
 only the wall-clock changes.  The engine's own accounting (cache
 backend traffic, stream behaviour) lands on
 :attr:`ExperimentReport.engine_profile` under the declared
@@ -44,7 +42,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from ..obs.events import EventLedger, as_ledger
 from ..obs.trace import Tracer, as_tracer
 from ..profiling import StageProfiler
-from .backends import CacheBackend
 from .cache import CellCache, resolve_cache
 from .spec import CellResult, ExperimentSpec
 from .workers import (
@@ -198,13 +195,11 @@ def _default_window(jobs: int) -> int:
 def run_spec(
     spec: ExperimentSpec,
     jobs: Optional[int] = None,
-    cache: Union[None, str, Path, CacheBackend, CellCache] = None,
+    cache: Union[None, str, Path, CellCache] = None,
     tracer: Optional[Tracer] = None,
-    workers: str = "local",
     resume: bool = False,
     reorder_window: Optional[int] = None,
     events: Union[None, str, Path, EventLedger] = None,
-    heartbeat: Optional[float] = None,
 ) -> ExperimentReport:
     """Execute a spec; see the module docstring for the pipeline.
 
@@ -217,9 +212,7 @@ def run_spec(
         ``os.cpu_count()``.  ``1`` computes inline (no pool), which is
         also used when at most one cell misses.
     cache:
-        ``None`` (no caching), a directory path, a ``scheme:path``
-        backend URI (``sqlite:results.db``), a bare
-        :class:`~repro.experiments.backends.CacheBackend`, or a ready
+        ``None`` (no caching), a cache directory path, or a ready
         :class:`CellCache`.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`: the engine records
@@ -229,10 +222,6 @@ def run_spec(
         rendered timeline and the canonical metrics snapshot are
         identical at every ``jobs`` value, exactly like the reduced
         result.
-    workers:
-        Dispatch substrate for the fan-out: ``"local"`` (process pool)
-        or ``"fleet"`` (spawned ``repro worker`` subprocesses over the
-        frame protocol).  Irrelevant at ``jobs == 1``.
     resume:
         Declare this run the continuation of an interrupted sweep:
         requires a cache, and reports the cells skipped via warm
@@ -249,16 +238,11 @@ def run_spec(
         engine opens and closes it), or a live
         :class:`~repro.obs.events.EventLedger` (shared by the caller,
         e.g. across a multi-experiment ``repro run``).  The run's
-        lifecycle, per-cell stream progress and worker telemetry are
-        appended as they happen; canonical events depend only on the
-        spec and the cells' deterministic outputs, so the
-        canonicalised ledger is byte-identical across ``--jobs``,
-        backends and resume (see :mod:`repro.obs.events`).
-    heartbeat:
-        Heartbeat interval in seconds for ``workers="fleet"`` — turns
-        on the telemetry frame protocol (worker heartbeats, per-worker
-        profiles, stalled-worker detection).  ``None`` keeps the plain
-        PR 9 wire protocol.
+        lifecycle and per-cell stream progress are appended as they
+        happen; canonical events depend only on the spec and the
+        cells' deterministic outputs, so the canonicalised ledger is
+        byte-identical across ``--jobs``, cache temperature and resume
+        (see :mod:`repro.obs.events`).
     """
     ledger, owned = as_ledger(events)
     try:
@@ -267,11 +251,9 @@ def run_spec(
             jobs=jobs,
             cache=cache,
             tracer=tracer,
-            workers=workers,
             resume=resume,
             reorder_window=reorder_window,
             ledger=ledger,
-            heartbeat=heartbeat,
         )
     finally:
         if owned and ledger is not None:
@@ -281,13 +263,11 @@ def run_spec(
 def _run_spec(
     spec: ExperimentSpec,
     jobs: Optional[int],
-    cache: Union[None, str, Path, CacheBackend, CellCache],
+    cache: Union[None, str, Path, CellCache],
     tracer: Optional[Tracer],
-    workers: str,
     resume: bool,
     reorder_window: Optional[int],
     ledger: Optional[EventLedger],
-    heartbeat: Optional[float],
 ) -> ExperimentReport:
     started = time.perf_counter()
     effective_jobs = os.cpu_count() or 1 if jobs is None else int(jobs)
@@ -318,7 +298,6 @@ def _run_spec(
             experiment=spec.name,
             cells=len(spec.cells),
             jobs=effective_jobs,
-            workers=workers,
             backend=store.describe() if store else "",
         )
 
@@ -345,7 +324,6 @@ def _run_spec(
         )
 
     stream_stats: Dict[str, int] = {"flushed": 0, "peak_resident": 0}
-    pool_profile: Optional[StageProfiler] = None
     if pending:
         work = [(i, dict(spec.cells[i].params)) for i in pending]
         pool_jobs = min(effective_jobs, len(pending)) if len(pending) > 1 else 1
@@ -354,9 +332,7 @@ def _run_spec(
             if ledger is not None
             else None
         )
-        with resolve_pool(
-            workers, spec.cell_function, pool_jobs, heartbeat=heartbeat, ledger=ledger
-        ) as pool:
+        with resolve_pool(spec.cell_function, pool_jobs) as pool:
             for i, payload in stream_reorder(
                 pool, work, window, stream_stats, on_submit=on_submit
             ):
@@ -388,9 +364,6 @@ def _run_spec(
                             "seconds": result.seconds,
                         },
                     )
-        # final worker telemetry arrives during close(), so read the
-        # pool's accounting only after the with-block tears it down
-        pool_profile = getattr(pool, "profile", None)
 
     cell_results = [r for r in results if r is not None]
     aggregate = StageProfiler()
@@ -415,8 +388,8 @@ def _run_spec(
     reduced = spec.reducer(cell_results)
     if ledger is not None:
         # canonical tail: declaration order, deterministic fields only —
-        # this is the part of the ledger CI byte-compares across jobs,
-        # backends and resume
+        # this is the part of the ledger CI byte-compares across jobs
+        # and resume
         for result in cell_results:
             ledger.emit(
                 "cell.completed", key=result.key, fingerprint=result.fingerprint
@@ -463,12 +436,6 @@ def _run_spec(
             "cache.backend.corrupt", store.stats.corrupt - stats_before[2]
         )
         engine_profile.count("cache.backend.put", store.stats.puts - stats_before[3])
-    if pool_profile is not None:
-        # fleet accounting (engine.worker.* counters, per-worker stage
-        # totals streamed back as telemetry) — engine-side by nature,
-        # so it lands next to the stream/cache counters, never in the
-        # jobs-invariant cell aggregate
-        engine_profile.merge(pool_profile)
 
     return ExperimentReport(
         name=spec.name,

@@ -1,73 +1,35 @@
 """Worker dispatch for the experiment engine.
 
-The engine used to call :class:`concurrent.futures.ProcessPoolExecutor`
-directly; this module factors that call behind a :class:`WorkerPool`
-interface so cells can be dispatched to different execution substrates
-without the streaming/reduction logic knowing which one it talks to:
+Cells reach an execution substrate through the small :class:`WorkerPool`
+interface, so the engine's streaming/reduction logic never knows which
+one it talks to:
 
 :class:`SerialPool`
     Inline execution in the calling process — ``jobs == 1`` and the
     single-miss fast path.
 
 :class:`LocalProcessPool`
-    Today's behaviour: a :class:`~concurrent.futures.
-    ProcessPoolExecutor` fan-out over fork/spawn workers.
+    A :class:`~concurrent.futures.ProcessPoolExecutor` fan-out over
+    fork/spawn workers.  The parent owns the cell cache and writes
+    entries as results stream back, so workers need no cache access.
 
-:class:`SubprocessFleetPool`
-    ``N`` spawned ``python -m repro worker`` processes, each a loop
-    over a length-prefixed JSON frame protocol on stdin/stdout
-    (:func:`write_frame` / :func:`read_frame` / :func:`worker_main`).
-    The parent owns the cache backend and writes entries as results
-    stream back, so fleet workers need no cache access at all.  This
-    protocol seam is what a future scheduler service reuses to talk to
-    remote workers over sockets instead of pipes.
-
-A pool is a small three-call surface: :meth:`WorkerPool.submit` tags a
+A pool is a three-call surface: :meth:`WorkerPool.submit` tags a
 cell's parameters, :meth:`WorkerPool.ready` blocks for *any* finished
 cell and returns ``(tag, payload)``, :meth:`WorkerPool.close` tears the
 substrate down.  Completion order is explicitly unspecified — the
 engine's reorder buffer (see :mod:`repro.experiments.engine`) restores
-declaration order, which is also what makes the pools property-testable
-with adversarial completion orders.
-
-**Fleet telemetry** (PR 10): passing ``heartbeat=SECONDS`` to the
-fleet pool upgrades the protocol — each worker is sent a
-``{"configure": {...}}`` frame, acknowledges it, and thereafter
-interleaves ``{"heartbeat": ...}`` frames (from a side thread, under a
-write lock) with its cell responses; on EOF it emits one final
-``{"telemetry": ...}`` frame summarising the cells it computed.  The
-parent runs one reader thread per worker that files cell responses
-into a per-worker queue and consumes telemetry inline, so a worker
-that stops heartbeating for ``stall_misses`` intervals is *detected*
-(an ``engine.worker.stalled`` counter on :attr:`SubprocessFleetPool.
-profile`, a ``worker.stalled`` ledger event, the process killed, an
-:class:`EngineError` raised) instead of hanging the sweep.  Without
-``heartbeat`` the wire format and the blocking round-trip are
-byte-for-byte the PR 9 protocol.
+declaration order, which is also what makes the engine
+property-testable with adversarial completion orders (a scripted pool
+substitutes for a real one through this interface).
 """
 
 from __future__ import annotations
 
-import importlib
-import json
-import struct
-import subprocess
-import sys
-import threading
 import time
 from abc import ABC, abstractmethod
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from queue import Empty, Queue
-from typing import Any, BinaryIO, Callable, Dict, List, Optional, Tuple
-
-from ..profiling import StageProfiler
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from typing import Any, Callable, Dict, Tuple
 
 
 class EngineError(RuntimeError):
@@ -109,201 +71,6 @@ def require_parallelisable(cell_function: Callable) -> None:
         )
 
 
-def function_reference(cell_function: Callable) -> str:
-    """The ``module:qualname`` reference fleet workers import."""
-    require_parallelisable(cell_function)
-    module = getattr(cell_function, "__module__", None)
-    qualname = getattr(cell_function, "__qualname__", None)
-    if not module or not qualname:
-        raise EngineError(f"cell function {cell_function!r} has no importable name")
-    return f"{module}:{qualname}"
-
-
-def resolve_function(reference: str) -> Callable:
-    """Import a cell function back from its ``module:qualname`` form."""
-    module_name, sep, qualname = reference.partition(":")
-    if not sep or not module_name or not qualname:
-        raise EngineError(f"malformed function reference {reference!r}")
-    try:
-        obj: Any = importlib.import_module(module_name)
-    except ImportError as exc:
-        raise EngineError(f"cannot import {reference!r}: {exc}") from exc
-    for part in qualname.split("."):
-        obj = getattr(obj, part, None)
-        if obj is None:
-            raise EngineError(f"{reference!r} does not name an attribute")
-    if not callable(obj):
-        raise EngineError(f"{reference!r} is not callable")
-    return obj
-
-
-# ----------------------------------------------------------------------
-# Length-prefixed JSON frame protocol (fleet workers)
-# ----------------------------------------------------------------------
-#: Frame size limit — a corrupted length prefix must not make the
-#: parent attempt a multi-gigabyte read.
-MAX_FRAME_BYTES = 256 * 1024 * 1024
-
-_LENGTH = struct.Struct(">I")
-
-
-def write_frame(stream: BinaryIO, payload: Dict[str, Any]) -> None:
-    """Write one ``{4-byte big-endian length}{UTF-8 JSON}`` frame."""
-    data = json.dumps(payload, sort_keys=True).encode("utf-8")
-    stream.write(_LENGTH.pack(len(data)))
-    stream.write(data)
-    stream.flush()
-
-
-def read_frame(stream: BinaryIO) -> Optional[Dict[str, Any]]:
-    """Read one frame; ``None`` on clean EOF, raises on a torn frame."""
-    header = stream.read(_LENGTH.size)
-    if not header:
-        return None
-    if len(header) < _LENGTH.size:
-        raise EngineError("torn frame header (peer died mid-write)")
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise EngineError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-    data = b""
-    while len(data) < length:
-        chunk = stream.read(length - len(data))
-        if not chunk:
-            raise EngineError("torn frame body (peer died mid-write)")
-        data += chunk
-    payload = json.loads(data.decode("utf-8"))
-    if not isinstance(payload, dict):
-        raise EngineError("frame payload must be a JSON object")
-    return payload
-
-
-class _HeartbeatWriter:
-    """Worker-side heartbeat thread: periodic frames under a write lock.
-
-    The main loop and the heartbeat thread share ``stdout``; the lock
-    keeps frames atomic.  ``state`` is mutated by the main loop so the
-    parent sees what the worker is doing (``idle``/``busy``) and how
-    many cells it has finished.
-    """
-
-    def __init__(self, stdout: BinaryIO, lock: threading.Lock, interval: float) -> None:
-        self.interval = float(interval)
-        self.state: Dict[str, Any] = {"cells": 0, "errors": 0, "busy": False}
-        self._stdout = stdout
-        self._lock = lock
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=self.interval + 1.0)
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                with self._lock:
-                    write_frame(self._stdout, {"heartbeat": dict(self.state)})
-            except (OSError, ValueError):
-                return  # parent is gone; the main loop will see EOF
-
-
-def worker_main(stdin: BinaryIO, stdout: BinaryIO) -> int:
-    """The ``python -m repro worker`` loop: cells in, payloads out.
-
-    Each request frame is ``{"function": "module:qualname",
-    "params": {...}}``; the response echoes ``{"payload": {...}}`` or
-    ``{"error": "..."}``.  The loop ends on stdin EOF (the parent
-    closing the pipe is the shutdown signal).  Resolved functions are
-    memoised per reference, so a fleet worker pays the import once.
-
-    Two telemetry extensions, both opt-in per connection:
-
-    * a ``{"configure": {"heartbeat": SECONDS}}`` request is answered
-      with ``{"configured": ...}`` and starts a side thread emitting
-      ``{"heartbeat": {"cells", "errors", "busy"}}`` frames every
-      interval (interleaved with responses under a write lock);
-    * once configured, EOF additionally emits one final
-      ``{"telemetry": {...}}`` frame with the same counters plus the
-      worker's aggregated :class:`~repro.profiling.StageProfiler`
-      counters, so the parent can merge per-worker accounting.
-
-    A **malformed or torn request frame is fatal**: the loop writes a
-    structured ``{"error": ..., "fatal": true}`` frame and returns a
-    nonzero exit code instead of guessing at the stream state — the
-    parent surfaces it as an ``engine.worker.frame_errors`` counter
-    and a ``worker.error`` ledger event, never as a hang.
-    """
-    functions: Dict[str, Callable] = {}
-    write_lock = threading.Lock()
-    heartbeat: Optional[_HeartbeatWriter] = None
-    profile = StageProfiler()
-    try:
-        while True:
-            try:
-                request = read_frame(stdin)
-            except EngineError as exc:
-                # corrupt inbound frame: report and die loudly — after a
-                # torn frame the stream offset is unknowable, so the
-                # loop cannot safely continue
-                with write_lock:
-                    write_frame(
-                        stdout,
-                        {"error": f"worker frame error: {exc}", "fatal": True},
-                    )
-                return 2
-            if request is None:
-                if heartbeat is not None:
-                    with write_lock:
-                        write_frame(
-                            stdout,
-                            {
-                                "telemetry": {
-                                    **heartbeat.state,
-                                    "profile": profile.to_dict(),
-                                }
-                            },
-                        )
-                return 0
-            if "configure" in request:
-                options = request.get("configure") or {}
-                interval = float(options.get("heartbeat") or 0.0)
-                if heartbeat is None and interval > 0:
-                    heartbeat = _HeartbeatWriter(stdout, write_lock, interval)
-                    heartbeat.start()
-                with write_lock:
-                    write_frame(stdout, {"configured": {"heartbeat": interval}})
-                continue
-            if heartbeat is not None:
-                heartbeat.state["busy"] = True
-            try:
-                reference = request["function"]
-                if reference not in functions:
-                    functions[reference] = resolve_function(reference)
-                payload = execute_cell(functions[reference], dict(request["params"]))
-                response = {"payload": payload}
-            except BaseException as exc:  # noqa: BLE001 - report, never die silently
-                response = {"error": f"{type(exc).__name__}: {exc}"}
-            if heartbeat is not None:
-                key = "payload" if "payload" in response else "errors"
-                heartbeat.state["busy"] = False
-                if key == "payload":
-                    heartbeat.state["cells"] += 1
-                    profile.merge(StageProfiler.from_dict(response["payload"].get("profile")))
-                else:
-                    heartbeat.state["errors"] += 1
-            with write_lock:
-                write_frame(stdout, response)
-    finally:
-        if heartbeat is not None:
-            heartbeat.stop()
-
-
-# ----------------------------------------------------------------------
-# Worker pools
-# ----------------------------------------------------------------------
 class WorkerPool(ABC):
     """Execution substrate for cache-missing cells.
 
@@ -345,18 +112,20 @@ class SerialPool(WorkerPool):
         return self._done.popleft()
 
 
-class _FuturePool(WorkerPool):
-    """Shared future-tracking logic of the process/fleet pools."""
 
-    def __init__(self) -> None:
+
+class LocalProcessPool(WorkerPool):
+    """The ``ProcessPoolExecutor`` fan-out."""
+
+    def __init__(self, cell_function: Callable, workers: int) -> None:
+        require_parallelisable(cell_function)
+        self._cell_function = cell_function
+        self._executor = ProcessPoolExecutor(max_workers=workers)
         self._futures: Dict[Future, int] = {}
 
-    @abstractmethod
-    def _dispatch(self, params: Dict[str, Any]) -> Future:
-        """Start one cell; returns its future."""
-
     def submit(self, tag: int, params: Dict[str, Any]) -> None:
-        self._futures[self._dispatch(params)] = tag
+        future = self._executor.submit(execute_cell, self._cell_function, params)
+        self._futures[future] = tag
 
     def ready(self) -> Tuple[int, Dict[str, Any]]:
         if not self._futures:
@@ -368,268 +137,13 @@ class _FuturePool(WorkerPool):
         tag = self._futures.pop(future)
         return tag, future.result()
 
-
-class LocalProcessPool(_FuturePool):
-    """The classic ``ProcessPoolExecutor`` fan-out."""
-
-    def __init__(self, cell_function: Callable, workers: int) -> None:
-        super().__init__()
-        require_parallelisable(cell_function)
-        self._cell_function = cell_function
-        self._executor = ProcessPoolExecutor(max_workers=workers)
-
-    def _dispatch(self, params: Dict[str, Any]) -> Future:
-        return self._executor.submit(execute_cell, self._cell_function, params)
-
     def close(self) -> None:
         self._executor.shutdown(wait=True)
 
 
-#: Silence allowance for a worker that has not yet sent its *first*
-#: frame — interpreter boot easily outlasts a tight heartbeat budget,
-#: and boot time says nothing about stalls.
-STARTUP_GRACE_SECONDS = 30.0
-
-
-class _WorkerChannel:
-    """Parent-side state of one telemetry-enabled fleet worker."""
-
-    def __init__(self, process: subprocess.Popen) -> None:
-        self.process = process
-        self.responses: "Queue[Dict[str, Any]]" = Queue()
-        self.last_seen = time.monotonic()
-        self.alive = False  # flips on the first frame received
-        self.write_lock = threading.Lock()
-        self.reader: Optional[threading.Thread] = None
-
-
-class SubprocessFleetPool(_FuturePool):
-    """``N`` spawned ``python -m repro worker`` frame-protocol processes.
-
-    Dispatch threads (one per worker) each borrow an idle worker
-    process from a queue, do one blocking request/response round-trip,
-    and return it — so the synchronous protocol code stays trivial
-    while completions still arrive as futures in any order.
-
-    With ``heartbeat=SECONDS`` the pool additionally runs one reader
-    thread per worker: cell responses are filed into a per-worker
-    queue, heartbeat frames refresh the worker's liveness clock, and a
-    worker silent for ``stall_misses`` intervals is declared stalled —
-    counted on :attr:`profile` (``engine.worker.stalled``), reported to
-    the ``ledger`` (``worker.stalled``), killed, and surfaced as an
-    :class:`EngineError` instead of a hung sweep.  The pool's own
-    accounting (spawns, heartbeats, stalls, frame errors) accumulates
-    on :attr:`profile` under the declared ``engine.worker.*`` counter
-    vocabulary and is merged into the engine's non-canonical
-    ``engine_profile`` — never into the jobs-invariant cell aggregate.
-    """
-
-    def __init__(
-        self,
-        cell_function: Callable,
-        workers: int,
-        heartbeat: Optional[float] = None,
-        stall_misses: int = 3,
-        ledger: Any = None,
-    ) -> None:
-        super().__init__()
-        self._reference = function_reference(cell_function)
-        self.heartbeat = float(heartbeat) if heartbeat else None
-        self.stall_misses = max(1, int(stall_misses))
-        self.ledger = ledger
-        self.profile = StageProfiler()
-        self.telemetry: List[Dict[str, Any]] = []
-        self._telemetry_lock = threading.Lock()
-        self._processes: List[subprocess.Popen] = []
-        self._channels: Dict[int, _WorkerChannel] = {}
-        self._idle: "Queue[subprocess.Popen]" = Queue()
-        for _ in range(workers):
-            process = subprocess.Popen(
-                [sys.executable, "-m", "repro", "worker"],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-            )
-            self._processes.append(process)
-            self.profile.count("engine.worker.spawned")
-            self._emit("worker.spawned", pid=process.pid)
-            if self.heartbeat is not None:
-                channel = _WorkerChannel(process)
-                self._channels[process.pid] = channel
-                write_frame(
-                    process.stdin, {"configure": {"heartbeat": self.heartbeat}}
-                )
-                channel.reader = threading.Thread(
-                    target=self._read_loop, args=(channel,), daemon=True
-                )
-                channel.reader.start()
-            self._idle.put(process)
-        self._executor = ThreadPoolExecutor(max_workers=workers)
-
-    def _emit(self, name: str, **fields: Any) -> None:
-        if self.ledger is not None:
-            self.ledger.emit(name, **fields)
-
-    def _dispatch(self, params: Dict[str, Any]) -> Future:
-        return self._executor.submit(self._roundtrip, params)
-
-    # -- telemetry reader (heartbeat mode only) --------------------------
-    def _read_loop(self, channel: _WorkerChannel) -> None:
-        """File cell responses; consume heartbeat/telemetry inline."""
-        process = channel.process
-        while True:
-            try:
-                frame = read_frame(process.stdout)
-            except (OSError, EngineError) as exc:
-                channel.responses.put({"__dead__": str(exc)})
-                return
-            if frame is None:
-                channel.responses.put({"__eof__": True})
-                return
-            channel.last_seen = time.monotonic()
-            channel.alive = True
-            if "heartbeat" in frame:
-                self.profile.count("engine.worker.heartbeats")
-                self._emit("worker.heartbeat", pid=process.pid, **frame["heartbeat"])
-            elif "configured" in frame:
-                pass
-            elif "telemetry" in frame:
-                report = dict(frame["telemetry"])
-                report["pid"] = process.pid
-                with self._telemetry_lock:
-                    self.telemetry.append(report)
-                self._emit(
-                    "worker.exited",
-                    pid=process.pid,
-                    cells=int(report.get("cells", 0)),
-                )
-            else:
-                channel.responses.put(frame)
-
-    def _await_response(self, channel: _WorkerChannel) -> Dict[str, Any]:
-        """Next cell response, or a stall/death diagnosis — never a hang."""
-        assert self.heartbeat is not None
-        while True:
-            budget = self.heartbeat * self.stall_misses
-            if not channel.alive:
-                budget = max(budget, STARTUP_GRACE_SECONDS)
-            try:
-                return channel.responses.get(timeout=self.heartbeat)
-            except Empty:
-                silent = time.monotonic() - channel.last_seen
-                if silent <= budget:
-                    continue
-                pid = channel.process.pid
-                self.profile.count("engine.worker.stalled")
-                self._emit(
-                    "worker.stalled", pid=pid, silent_seconds=round(silent, 3)
-                )
-                channel.process.kill()
-                raise EngineError(
-                    f"fleet worker pid {pid} stalled: no heartbeat for "
-                    f"{silent:.2f}s (budget {budget:.2f}s)"
-                ) from None
-
-    def _frame_error(self, pid: Optional[int], message: str) -> None:
-        self.profile.count("engine.worker.frame_errors")
-        self._emit("worker.error", pid=pid, message=message)
-
-    def _roundtrip(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        process = self._idle.get()
-        channel = self._channels.get(process.pid)
-        try:
-            request = {"function": self._reference, "params": params}
-            if channel is None:
-                write_frame(process.stdin, request)
-                response = read_frame(process.stdout)
-            else:
-                with channel.write_lock:
-                    write_frame(process.stdin, request)
-                response = self._await_response(channel)
-        except (OSError, EngineError) as exc:
-            # stalls already carry their own counter + event
-            if not (isinstance(exc, EngineError) and "stalled" in str(exc)):
-                self._frame_error(process.pid, str(exc))
-                raise EngineError(
-                    f"fleet worker pid {process.pid} died: {exc}"
-                ) from exc
-            raise
-        finally:
-            self._idle.put(process)
-        if response is None or "__eof__" in response:
-            self._frame_error(process.pid, "closed its pipe")
-            raise EngineError(f"fleet worker pid {process.pid} closed its pipe")
-        if "__dead__" in response:
-            self._frame_error(process.pid, str(response["__dead__"]))
-            raise EngineError(
-                f"fleet worker pid {process.pid} died: {response['__dead__']}"
-            )
-        if "fatal" in response:
-            self._frame_error(
-                process.pid, str(response.get("error", "fatal frame error"))
-            )
-            raise EngineError(
-                f"fleet worker pid {process.pid} failed fatally: "
-                f"{response.get('error')}"
-            )
-        if "error" in response:
-            raise EngineError(
-                f"fleet worker pid {process.pid} failed: {response['error']}"
-            )
-        return dict(response["payload"])
-
-    def close(self) -> None:
-        self._executor.shutdown(wait=True)
-        for process in self._processes:
-            if process.stdin is not None:
-                try:
-                    process.stdin.close()
-                except OSError:
-                    pass
-        for process in self._processes:
-            try:
-                process.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
-        for channel in self._channels.values():
-            if channel.reader is not None:
-                channel.reader.join(timeout=5)
-        if not self._channels:
-            # legacy protocol: no final telemetry frame, cell count unknown
-            for process in self._processes:
-                self._emit("worker.exited", pid=process.pid, cells=-1)
-        for report in self.telemetry:
-            profile = report.get("profile")
-            if profile:
-                self.profile.merge(StageProfiler.from_dict(profile))
-        self._processes = []
-
-
-#: Dispatch substrates ``run_spec(workers=...)`` and ``--workers`` accept.
-WORKER_KINDS: Tuple[str, ...] = ("local", "fleet")
-
-
-def resolve_pool(
-    workers: str,
-    cell_function: Callable,
-    jobs: int,
-    heartbeat: Optional[float] = None,
-    ledger: Any = None,
-) -> WorkerPool:
-    """A ready pool for one engine run.
-
-    ``jobs <= 1`` always yields the serial pool — substrate choice only
-    matters once there is fan-out.  ``heartbeat``/``ledger`` only apply
-    to the fleet pool (the only substrate with telemetry to stream).
-    """
+def resolve_pool(cell_function: Callable, jobs: int) -> WorkerPool:
+    """A ready pool for one engine run: serial for ``jobs <= 1``, the
+    local process pool otherwise."""
     if jobs <= 1:
         return SerialPool(cell_function)
-    if workers == "local":
-        return LocalProcessPool(cell_function, jobs)
-    if workers in ("fleet", "subprocess-fleet"):
-        return SubprocessFleetPool(
-            cell_function, jobs, heartbeat=heartbeat, ledger=ledger
-        )
-    raise EngineError(
-        f"unknown worker substrate {workers!r} (known: {', '.join(WORKER_KINDS)})"
-    )
+    return LocalProcessPool(cell_function, jobs)

@@ -18,7 +18,7 @@ Three modules, one contract:
   :class:`EventLedger` writer, canonicalisation for CI byte-compares,
   and the :class:`LiveProgress` TTY view;
 * :mod:`repro.obs.fleet` — merged multi-shard fleet reports
-  (``repro.fleet/1``) and the ``repro report --diff`` comparison.
+  (``repro.fleet/2``) and the ``repro report --diff`` comparison.
 
 See ``docs/observability.md`` for the span model and export formats.
 """

@@ -1,15 +1,14 @@
-"""The run-event ledger: a typed, drift-tested fleet telemetry stream.
+"""The run-event ledger: a typed, drift-tested run telemetry stream.
 
-The experiment fabric (PR 9) made million-cell sweeps resumable and
-dispatchable to subprocess fleets, but the only record of a sweep was
-its final artifact.  This module gives every run an **append-only
-event ledger** — one JSON object per line in an ``events.jsonl`` file
-next to the artifact — that the engine, the worker pools and the CLI
-all write through one declared vocabulary:
+An experiment sweep is resumable and streams its cells, but its
+artifact only records the end state.  This module gives every run an
+**append-only event ledger** — one JSON object per line in an
+``events.jsonl`` file next to the artifact — that the engine and the
+CLI write through one declared vocabulary:
 
-* :data:`EVENTS` — one :class:`EventSpec` per event the fabric emits
-  (sweep lifecycle, per-cell stream progress, worker heartbeats and
-  stalls, fault-recovery escalations), schema :data:`EVENTS_SCHEMA`;
+* :data:`EVENTS` — one :class:`EventSpec` per event the engine emits
+  (sweep lifecycle, per-cell stream progress, fault-recovery
+  escalations), schema :data:`EVENTS_SCHEMA`;
 * :class:`EventLedger` — the thread-safe writer: validates names and
   fields against the declaration, write-through to the JSONL file,
   fan-out to in-process subscribers (the ``--live`` progress view);
@@ -18,19 +17,19 @@ all write through one declared vocabulary:
   CI ``cmp``\\ s: wall-clock and completion-order data are confined to
   the per-record ``meta`` object and to events *declared*
   non-canonical, so the canonicalised ledger is byte-identical across
-  ``--jobs`` values, cache backends and interrupted-then-resumed runs
+  ``--jobs`` values, cache temperature and interrupted-then-resumed runs
   (the same discipline as the artifact ``timing`` split, PR 6);
 * :func:`events_table` — the rendered vocabulary table embedded in
   ``docs/observability.md`` and drift-tested like the metric table;
 * :class:`LiveProgress` — a subscriber rendering a single-line TTY
-  progress view (cells done/total, warm-hit rate, throughput, ETA,
-  active workers) from the same stream.
+  progress view (cells done/total, warm-hit rate, throughput, ETA)
+  from the same stream.
 
 Canonical events carry only deterministic fields (cell keys,
 fingerprints, fault counters replayed from cached profiles);
 everything scheduling-dependent — submission order, cache temperature,
-worker pids, heartbeats — is either a non-canonical event or lives in
-``meta`` and is stripped by canonicalisation.
+wall-clock — is either a non-canonical event or lives in ``meta`` and
+is stripped by canonicalisation.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ class EventSpec:
     """Declaration of one ledger event.
 
     ``fields`` are the *canonical* fields: required on every emission,
-    deterministic across ``--jobs``/backends/resume, and the only
+    deterministic across ``--jobs``/cache temperature/resume, and the only
     payload that survives canonicalisation.  Any extra keyword passed
     to :meth:`EventLedger.emit` lands in the record's non-canonical
     ``meta`` object instead.
@@ -95,11 +94,6 @@ EVENTS: Tuple[EventSpec, ...] = (
     _ev("cell.completed", True, ("key", "fingerprint"), "cell final in declaration order, however it was produced"),
     _ev("cell.recovery", True, ("key", "injected", "threatened", "escalations"), "fault/recovery escalation counts replayed from a cell's profile"),
     _ev("sweep.finished", True, ("experiment", "cells"), "the engine run reduced and returned"),
-    _ev("worker.spawned", False, ("pid",), "fleet worker subprocess started"),
-    _ev("worker.heartbeat", False, ("pid",), "heartbeat frame received from a fleet worker"),
-    _ev("worker.exited", False, ("pid", "cells"), "fleet worker shut down cleanly (final telemetry merged)"),
-    _ev("worker.stalled", False, ("pid", "silent_seconds"), "fleet worker missed its heartbeat budget and was killed"),
-    _ev("worker.error", False, ("pid", "message"), "fleet worker frame/pipe failure surfaced to the parent"),
 )
 
 #: Name → spec lookup for validation and canonicalisation.
@@ -290,7 +284,8 @@ def canonical_records(records: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]
     Keeps only events declared canonical, strips every ``meta`` object,
     restricts each record to its declared fields and renumbers ``seq``
     — the result depends only on the spec and the cells' deterministic
-    outputs, never on jobs, backend, completion order or wall-clock.
+    outputs, never on jobs, cache temperature, completion order or
+    wall-clock.
     """
     out: List[Dict[str, Any]] = []
     for record in records:
@@ -338,8 +333,8 @@ class LiveProgress:
 
     Counts warm cells (``cell.cached``/``cell.resumed``) and streamed
     completions (``cell.flushed``) against the total declared by
-    ``sweep.started``, tracks active fleet workers, and re-renders at
-    most every ``interval`` seconds (plus on every sweep boundary).
+    ``sweep.started`` and re-renders at most every ``interval`` seconds
+    (plus on every sweep boundary).
     """
 
     def __init__(self, stream: Optional[IO[str]] = None, interval: float = 0.1) -> None:
@@ -348,8 +343,6 @@ class LiveProgress:
         self.total = 0
         self.done = 0
         self.warm = 0
-        self.workers = 0
-        self.stalled = 0
         self.experiment = ""
         self._started = time.monotonic()
         self._last_render = 0.0
@@ -366,13 +359,6 @@ class LiveProgress:
             self.warm += 1
         elif event == "cell.flushed":
             self.done += 1
-        elif event == "worker.spawned":
-            self.workers += 1
-        elif event == "worker.exited":
-            self.workers = max(0, self.workers - 1)
-        elif event == "worker.stalled":
-            self.stalled += 1
-            self.workers = max(0, self.workers - 1)
         elif event == "sweep.finished":
             self.render(force=True)
             self.stream.write("\n")
@@ -391,11 +377,10 @@ class LiveProgress:
         eta = f"{remaining / rate:5.1f}s" if rate > 0 and self.total else "    ?"
         pct = 100.0 * self.done / self.total if self.total else 0.0
         warm_pct = 100.0 * self.warm / self.done if self.done else 0.0
-        stalled = f"  stalled {self.stalled}" if self.stalled else ""
         return (
             f"[{self.experiment or 'sweep'}] {self.done}/{self.total} cells "
             f"({pct:3.0f}%)  {warm_pct:3.0f}% warm  {rate:6.1f} cells/s  "
-            f"eta {eta}  workers {self.workers}{stalled}"
+            f"eta {eta}"
         )
 
     def render(self, force: bool = False) -> None:

@@ -4,12 +4,11 @@ One sweep sharded over machines (or simply re-run over time) leaves a
 trail of files: experiment artifacts, ``events.jsonl`` ledgers, Chrome
 traces and canonical metrics snapshots.  ``repro report`` hands any
 mix of them (files or whole shard directories) to :func:`merge_fleet`,
-which folds them into **one** ``repro.fleet/1`` payload:
+which folds them into **one** ``repro.fleet/2`` payload:
 
 * cross-shard cell/cache accounting — totals are exact sums of the
   shards, which is what the CI smoke job asserts;
-* per-worker utilisation (cells computed per fleet worker, heartbeat
-  and stall counts) recovered from the ledgers' ``worker.*`` events;
+* ledger event counts summed across shards;
 * merged top stages and counters from artifact profiles, metrics
   snapshots and traces alike;
 * the fault-recovery table concatenated across shards.
@@ -39,7 +38,8 @@ from .report import (
 )
 
 #: Fleet-report schema identifier; rev on incompatible layout changes.
-FLEET_SCHEMA = "repro.fleet/1"
+#: /2: dropped the per-worker ``workers`` section.
+FLEET_SCHEMA = "repro.fleet/2"
 
 #: File suffixes :func:`expand_inputs` collects from shard directories.
 _SHARD_SUFFIXES = (".json", ".jsonl")
@@ -108,7 +108,7 @@ def _add_into(totals: Dict[str, float], values: Mapping[str, Any]) -> None:
 
 
 def merge_fleet(paths: Sequence[Union[str, Path]]) -> Dict[str, Any]:
-    """Fold shard files into one ``repro.fleet/1`` payload."""
+    """Fold shard files into one ``repro.fleet/2`` payload."""
     files = expand_inputs(paths)
     if not files:
         raise ReportError("no shard files to merge")
@@ -124,8 +124,6 @@ def merge_fleet(paths: Sequence[Union[str, Path]]) -> Dict[str, Any]:
     stage_seconds: Dict[str, float] = {}
     stage_calls: Dict[str, float] = {}
     event_counts: Dict[str, float] = {}
-    workers: Dict[str, int] = {"spawned": 0, "heartbeats": 0, "stalled": 0, "errors": 0}
-    per_worker: List[Dict[str, Any]] = []
     recovery: List[Dict[str, Any]] = []
     for path in files:
         kind, payload = classify_file(path)
@@ -149,7 +147,6 @@ def merge_fleet(paths: Sequence[Union[str, Path]]) -> Dict[str, Any]:
             _add_into(stage_calls, summary["stage_calls"])
             recovery.extend(summary.get("chaos_rows") or [])
         elif kind == "events":
-            exited: Dict[int, int] = {}
             for record in payload:
                 event = record.get("event", "?")
                 event_counts[event] = event_counts.get(event, 0) + 1
@@ -157,22 +154,7 @@ def merge_fleet(paths: Sequence[Union[str, Path]]) -> Dict[str, Any]:
                     name = str(record.get("experiment", "?"))
                     if name not in experiments:
                         experiments.append(name)
-                elif event == "worker.spawned":
-                    workers["spawned"] += 1
-                elif event == "worker.heartbeat":
-                    workers["heartbeats"] += 1
-                elif event == "worker.stalled":
-                    workers["stalled"] += 1
-                elif event == "worker.error":
-                    workers["errors"] += 1
-                elif event == "worker.exited":
-                    pid = int(record.get("pid", -1))
-                    exited[pid] = max(exited.get(pid, 0), int(record.get("cells", 0)))
             shard["events"] = len(payload)
-            per_worker.extend(
-                {"shard": str(path), "pid": pid, "cells": cells}
-                for pid, cells in sorted(exited.items())
-            )
         elif kind == "trace":
             summary = summarise_trace(payload)
             shard["spans"] = sum(summary["tracks"].values())
@@ -186,11 +168,6 @@ def merge_fleet(paths: Sequence[Union[str, Path]]) -> Dict[str, Any]:
             _add_into(stage_seconds, payload.get("stage_seconds") or {})
             _add_into(stage_calls, payload.get("stage_calls") or {})
         shards.append(shard)
-    computed = sum(
-        cells
-        for cells in (w["cells"] for w in per_worker)
-        if cells >= 0
-    )
     return {
         "schema": FLEET_SCHEMA,
         "shards": shards,
@@ -215,12 +192,11 @@ def merge_fleet(paths: Sequence[Union[str, Path]]) -> Dict[str, Any]:
         "stage_seconds": {k: round(stage_seconds[k], 9) for k in sorted(stage_seconds)},
         "stage_calls": {k: stage_calls[k] for k in sorted(stage_calls)},
         "events": {k: int(event_counts[k]) for k in sorted(event_counts)},
-        "workers": {**workers, "cells_reported": computed, "per_worker": per_worker},
         "recovery": recovery,
     }
 
 
-#: Keys every ``repro.fleet/1`` payload must carry.
+#: Keys every ``repro.fleet/2`` payload must carry.
 _REQUIRED_FLEET_KEYS = (
     "schema",
     "shards",
@@ -232,7 +208,6 @@ _REQUIRED_FLEET_KEYS = (
     "stage_seconds",
     "stage_calls",
     "events",
-    "workers",
     "recovery",
 )
 
@@ -291,31 +266,6 @@ def render_fleet_report(payload: Mapping[str, Any]) -> str:
         for shard in payload["shards"]
     ]
     lines.append(_format_rows(rows, ["path", "kind", "detail"]))
-    workers = payload.get("workers") or {}
-    if workers.get("spawned"):
-        lines.append("")
-        lines.append(
-            f"workers: {workers['spawned']} spawned   "
-            f"{workers['heartbeats']} heartbeats   "
-            f"{workers['stalled']} stalled   {workers['errors']} errors"
-        )
-        reported = [w for w in workers.get("per_worker", []) if w["cells"] >= 0]
-        if reported:
-            total = sum(w["cells"] for w in reported) or 1
-            lines.append(
-                _format_rows(
-                    [
-                        [
-                            str(w["pid"]),
-                            Path(w["shard"]).name,
-                            str(w["cells"]),
-                            f"{100 * w['cells'] / total:.0f}%",
-                        ]
-                        for w in reported
-                    ],
-                    ["pid", "shard", "cells", "share"],
-                )
-            )
     if payload["stage_seconds"]:
         lines.append("")
         lines.append("top stages (summed across shards):")

@@ -122,10 +122,6 @@ VOCABULARY: Tuple[MetricSpec, ...] = (
     _spec("engine.stream.flushed", _C, "cell results streamed through the reorder buffer"),
     _spec("engine.stream.peak_resident", _C, "reorder-buffer high-water mark (bounded by the window)"),
     _spec("engine.stream.resumed", _C, "cells skipped via warm entries under ``--resume``"),
-    _spec("engine.worker.spawned", _C, "fleet worker subprocesses started for the run"),
-    _spec("engine.worker.heartbeats", _C, "heartbeat frames received from fleet workers"),
-    _spec("engine.worker.stalled", _C, "fleet workers killed after missing their heartbeat budget"),
-    _spec("engine.worker.frame_errors", _C, "fleet frame/pipe failures surfaced to the parent"),
     # -- point events ---------------------------------------------------
     _spec("drift.detected", _E, "windowed branch drift crossed the threshold"),
     _spec("reschedule.invoked", _E, "the controller (re)invoked the online algorithm"),

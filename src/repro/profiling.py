@@ -74,10 +74,6 @@ re-render, never the table text:
 ``engine.stream.flushed``         counter    cell results streamed through the reorder buffer
 ``engine.stream.peak_resident``   counter    reorder-buffer high-water mark (bounded by the window)
 ``engine.stream.resumed``         counter    cells skipped via warm entries under ``--resume``
-``engine.worker.spawned``         counter    fleet worker subprocesses started for the run
-``engine.worker.heartbeats``      counter    heartbeat frames received from fleet workers
-``engine.worker.stalled``         counter    fleet workers killed after missing their heartbeat budget
-``engine.worker.frame_errors``    counter    fleet frame/pipe failures surfaced to the parent
 ``drift.detected``                event      windowed branch drift crossed the threshold
 ``reschedule.invoked``            event      the controller (re)invoked the online algorithm
 ``sim.fault``                     event      one injected fault, on its instance's sim timeline

@@ -1,5 +1,5 @@
-"""Tests for the ``repro cache`` verb and the engine-fabric CLI flags
-(``--cache`` URIs, ``--resume`` validation, ``--no-canonical``)."""
+"""Tests for the ``repro cache`` verb and the engine CLI flags
+(``--cache-dir``, ``--resume`` validation, ``--no-canonical``)."""
 
 import json
 import os
@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.__main__ import main
-from repro.experiments import CellCache, SqliteBackend, run_spec
+from repro.experiments import CellCache, run_spec
 from repro.experiments.spec import Cell, ExperimentSpec
 
 
@@ -17,7 +17,7 @@ def tiny_cell(params):
     return {"values": {"y": params["x"] + 1}}
 
 
-def _seed_cache(uri, n=3):
+def _seed_cache(cache_dir, n=3):
     """Populate a cache through a real engine run; returns the report."""
     spec = ExperimentSpec(
         name="tiny",
@@ -25,30 +25,42 @@ def _seed_cache(uri, n=3):
         cell_function=tiny_cell,
         reducer=lambda cells: [c.values["y"] for c in cells],
     )
-    return run_spec(spec, jobs=1, cache=str(uri))
+    return run_spec(spec, jobs=1, cache=str(cache_dir))
 
 
 class TestCacheVerb:
-    @pytest.mark.parametrize("scheme", ["dir", "sqlite"])
-    def test_stats(self, tmp_path, capsys, scheme):
-        uri = (
-            str(tmp_path / "tree")
-            if scheme == "dir"
-            else f"sqlite:{tmp_path}/c.db"
-        )
+    def test_stats(self, tmp_path, capsys):
+        uri = str(tmp_path / "tree")
         _seed_cache(uri)
         assert main(["cache", "stats", uri]) == 0
         out = capsys.readouterr().out
         assert "entries:  3" in out
-        assert scheme in out
+        assert f"dir:{uri}" in out
+
+    @pytest.mark.parametrize("action", ["stats", "verify", "prune", "gc"])
+    def test_missing_directory_is_not_an_empty_cache(
+        self, tmp_path, capsys, action
+    ):
+        missing = str(tmp_path / "no" / "such" / "dir")
+        args = ["cache", action, missing]
+        if action == "prune":
+            args += ["--older-than", "0"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == f"cache: no cache at {missing}"
+        assert captured.out == ""
+        # a regular file is not a cache directory either
+        stray = tmp_path / "file"
+        stray.write_text("x")
+        assert main(["cache", action, str(stray)]) == 2
+        assert "no cache at" in capsys.readouterr().err
 
     def test_verify_clean_and_corrupt(self, tmp_path, capsys):
-        uri = f"sqlite:{tmp_path}/c.db"
+        uri = str(tmp_path / "tree")
         report = _seed_cache(uri)
         assert main(["cache", "verify", uri]) == 0
-        store = CellCache(backend=SqliteBackend(tmp_path / "c.db"))
-        store.backend.write(report.cells[0].fingerprint, "garbage")
-        store.close()
+        store = CellCache(uri)
+        store.path_for(report.cells[0].fingerprint).write_text("garbage")
         assert main(["cache", "verify", uri]) == 1
         assert "1 corrupt" in capsys.readouterr().out
 
@@ -56,7 +68,7 @@ class TestCacheVerb:
         uri = str(tmp_path / "tree")
         report = _seed_cache(uri)
         store = CellCache(tmp_path / "tree")
-        store.backend.write(report.cells[0].fingerprint, "garbage")
+        store.path_for(report.cells[0].fingerprint).write_text("garbage")
         assert main(["cache", "gc", uri]) == 0
         assert "removed 1 corrupt" in capsys.readouterr().out
         assert main(["cache", "verify", uri]) == 0
@@ -126,30 +138,21 @@ class TestCacheVerb:
 
 
 class TestEngineCliFlags:
-    def test_cache_and_cache_dir_are_exclusive(self, tmp_path, capsys):
-        code = main(
-            ["run", "table1", "--smoke",
-             "--cache", f"sqlite:{tmp_path}/c.db",
-             "--cache-dir", str(tmp_path / "tree")]
-        )
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
     def test_resume_requires_a_cache(self, capsys):
         assert main(["run", "table1", "--smoke", "--resume"]) == 2
         assert "--resume requires" in capsys.readouterr().err
         assert main(["chaos", "--smoke", "--resume"]) == 2
         assert "--resume requires" in capsys.readouterr().err
 
-    def test_sqlite_uri_round_trips_through_run(self, tmp_path, capsys):
-        uri = f"sqlite:{tmp_path}/cells.db"
+    def test_cache_dir_round_trips_through_resume(self, tmp_path, capsys):
+        cache = str(tmp_path / "cells")
         assert main(["run", "table1", "--smoke", "--jobs", "1",
-                     "--cache", uri]) == 0
+                     "--cache-dir", cache]) == 0
         capsys.readouterr()
         assert main(["run", "table1", "--smoke", "--jobs", "1",
-                     "--cache", uri, "--resume", "--format", "json"]) == 0
+                     "--cache-dir", cache, "--resume", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["cache"]["backend"] == uri
+        assert payload["cache"]["backend"] == f"dir:{cache}"
         assert payload["cache"]["hits"] > 0
         assert payload["cache"]["misses"] == 0
 

@@ -106,6 +106,19 @@ class TestRunEngineFlags:
         assert strip(parallel) == strip(serial)
 
 
+class TestEngineFlagValidation:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("flag", ["--jobs", "--reorder-window"])
+    @pytest.mark.parametrize("verb", [["run", "table1"], ["chaos"]], ids=["run", "chaos"])
+    def test_non_positive_counts_are_usage_errors(self, capsys, verb, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*verb, "--smoke", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: must be >= 1, got {value}" in err
+        assert "Traceback" not in err
+
+
 class TestCheckVerb:
     def test_check_workload_by_name(self, capsys):
         assert main(["check", "cruise", "--deadline-factor", "2.0"]) == 0

@@ -6,13 +6,9 @@ import threading
 import pytest
 
 from repro.experiments import (
-    BackendError,
     Cell,
     CellCache,
-    DirBackend,
     ExperimentSpec,
-    SqliteBackend,
-    parse_backend_uri,
     resolve_cache,
     run_spec,
 )
@@ -90,9 +86,38 @@ class TestCellCache:
         assert resolve_cache(None) is None
         cache = CellCache(tmp_path)
         assert resolve_cache(cache) is cache
-        resolved = resolve_cache(str(tmp_path))
-        assert isinstance(resolved, CellCache)
-        assert resolved.root == tmp_path
+        for form in (str(tmp_path), tmp_path):
+            resolved = resolve_cache(form)
+            assert isinstance(resolved, CellCache)
+            assert resolved.root == tmp_path
+            assert resolved.describe() == f"dir:{tmp_path}"
+
+    def test_upsert_replaces_in_place(self, tmp_path):
+        cache = CellCache(tmp_path)
+        fp = "ef" * 32
+        cache.put(fp, {"experiment": "x", "key": "a", "values": {"v": 1}})
+        cache.put(fp, {"experiment": "x", "key": "a", "values": {"v": 2}})
+        assert cache.get(fp)["values"] == {"v": 2}
+        assert cache.fingerprints() == [fp]
+        assert cache.contains(fp)
+
+    def test_maintenance_surface(self, tmp_path):
+        cache = CellCache(tmp_path)
+        run_spec(_spec(), jobs=1, cache=cache)
+        checked, corrupt = cache.verify()
+        assert checked == 3
+        assert corrupt == []
+        assert cache.size_bytes() > 0
+        victim = cache.fingerprints()[0]
+        cache.path_for(victim).write_text("garbage", encoding="utf-8")
+        stray = cache.path_for(victim).with_name(f"{victim}.json.tmp1-0")
+        stray.write_text("{", encoding="utf-8")
+        assert cache.verify()[1] == [victim]
+        assert cache.tmp_garbage() == [stray]
+        counts = cache.gc()
+        assert counts == {"corrupt_removed": 1, "tmp_removed": 1}
+        assert len(cache.fingerprints()) == 2
+        assert cache.remove(victim) is False
 
 
 class TestEngineCaching:
@@ -179,101 +204,6 @@ def _profiled_spec():
     )
 
 
-class TestBackendSelection:
-    def test_uri_forms(self, tmp_path):
-        assert isinstance(parse_backend_uri(tmp_path), DirBackend)
-        assert isinstance(parse_backend_uri(str(tmp_path)), DirBackend)
-        assert isinstance(parse_backend_uri(f"dir:{tmp_path}"), DirBackend)
-        sqlite = parse_backend_uri(f"sqlite:{tmp_path}/c.db")
-        assert isinstance(sqlite, SqliteBackend)
-        assert sqlite.path == tmp_path / "c.db"
-
-    def test_empty_path_after_scheme_rejected(self):
-        with pytest.raises(BackendError, match="empty path"):
-            parse_backend_uri("sqlite:")
-
-    def test_resolve_cache_accepts_uri_and_backend(self, tmp_path):
-        via_uri = resolve_cache(f"sqlite:{tmp_path}/c.db")
-        assert isinstance(via_uri.backend, SqliteBackend)
-        via_backend = resolve_cache(DirBackend(tmp_path))
-        assert isinstance(via_backend, CellCache)
-        assert via_backend.root == tmp_path
-
-    def test_cell_cache_needs_exactly_one_source(self, tmp_path):
-        with pytest.raises(BackendError, match="exactly one"):
-            CellCache()
-        with pytest.raises(BackendError, match="exactly one"):
-            CellCache(tmp_path, backend=DirBackend(tmp_path))
-
-
-class TestSqliteBackend:
-    def test_miss_then_put_then_hit(self, tmp_path):
-        cache = CellCache(backend=SqliteBackend(tmp_path / "c.db"))
-        fp = "ab" * 32
-        assert cache.get(fp) is None
-        assert cache.stats.misses == 1
-        cache.put(fp, {"experiment": "x", "key": "a", "values": {"v": 1}})
-        entry = cache.get(fp)
-        assert entry is not None
-        assert entry["values"] == {"v": 1}
-        assert cache.stats.hits == 1
-        assert cache.contains(fp)
-        assert cache.fingerprints() == [fp]
-        cache.close()
-
-    def test_corrupt_row_is_a_counted_miss(self, tmp_path):
-        cache = CellCache(backend=SqliteBackend(tmp_path / "c.db"))
-        fp = "cd" * 32
-        cache.backend.write(fp, "{not json")
-        assert cache.get(fp) is None
-        assert cache.stats.corrupt == 1
-        cache.close()
-
-    def test_upsert_replaces_in_place(self, tmp_path):
-        cache = CellCache(backend=SqliteBackend(tmp_path / "c.db"))
-        fp = "ef" * 32
-        cache.put(fp, {"experiment": "x", "key": "a", "values": {"v": 1}})
-        cache.put(fp, {"experiment": "x", "key": "a", "values": {"v": 2}})
-        assert cache.get(fp)["values"] == {"v": 2}
-        assert len(cache.fingerprints()) == 1
-        cache.close()
-
-    def test_engine_round_trip_and_dir_parity(self, tmp_path):
-        from repro.experiments import canonical_artifact_payload
-
-        dir_cache = CellCache(backend=DirBackend(tmp_path / "tree"))
-        sql_cache = CellCache(backend=SqliteBackend(tmp_path / "c.db"))
-        via_dir_cold = run_spec(_spec(), jobs=1, cache=dir_cache)
-        via_sql_cold = run_spec(_spec(), jobs=1, cache=sql_cache)
-        via_dir = run_spec(_spec(), jobs=1, cache=dir_cache)
-        via_sql = run_spec(_spec(), jobs=1, cache=sql_cache)
-        assert via_sql.stats.hits == 3
-        assert via_dir.result == via_sql.result
-        # canonical artifacts are byte-identical across backends, cold
-        # and warm alike (the CI backend-parity leg in bash form)
-        payloads = [
-            json.dumps(canonical_artifact_payload(r), sort_keys=True)
-            for r in (via_dir_cold, via_sql_cold, via_dir, via_sql)
-        ]
-        assert len(set(payloads)) == 1
-        sql_cache.close()
-
-    def test_maintenance_surface(self, tmp_path):
-        cache = CellCache(backend=SqliteBackend(tmp_path / "c.db"))
-        run_spec(_spec(), jobs=1, cache=cache)
-        checked, corrupt = cache.verify()
-        assert checked == 3
-        assert corrupt == []
-        assert cache.backend.size_bytes() > 0
-        victim = cache.fingerprints()[0]
-        cache.backend.write(victim, "garbage")
-        assert cache.verify()[1] == [victim]
-        counts = cache.gc()
-        assert counts["corrupt_removed"] == 1
-        assert len(cache.fingerprints()) == 2
-        cache.close()
-
-
 class TestConcurrentWriters:
     def test_parallel_puts_never_corrupt(self, tmp_path):
         """Many threads upserting the same fingerprints concurrently must
@@ -309,10 +239,10 @@ class TestConcurrentWriters:
         assert checked == len(fps)
         assert corrupt == []
         # no temp-file debris left behind by the writers
-        assert cache.backend.tmp_garbage() == []
+        assert cache.tmp_garbage() == []
 
     def test_tmp_names_are_distinct_within_a_process(self, tmp_path):
-        from repro.experiments.backends import _TMP_COUNTER
+        from repro.experiments.cache import _TMP_COUNTER
 
         first = next(_TMP_COUNTER)
         second = next(_TMP_COUNTER)

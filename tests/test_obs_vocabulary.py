@@ -171,7 +171,7 @@ def runtime_names():
     #    counter (corrupt via the garbage entry, resumed via resume=True)
     import tempfile
 
-    from repro.experiments import CellCache, DirBackend, run_spec
+    from repro.experiments import CellCache, run_spec
     from repro.experiments.spec import Cell, ExperimentSpec
 
     fabric_spec = ExperimentSpec(
@@ -181,56 +181,14 @@ def runtime_names():
         reducer=lambda cells: _FabricResult(total=sum(c.values["y"] for c in cells)),
     )
     with tempfile.TemporaryDirectory() as tmp:
-        store = CellCache(backend=DirBackend(tmp))
+        store = CellCache(tmp)
         cold = run_spec(fabric_spec, jobs=1, cache=store)
         names |= set(cold.engine_profile.counters)
         victim = cold.cells[0].fingerprint
-        store.backend.write(victim, "not json at all")
+        store.path_for(victim).write_text("not json at all")
         warm = run_spec(fabric_spec, jobs=1, cache=store, resume=True)
         names |= set(warm.engine_profile.counters)
         assert warm.engine_profile.counters["cache.backend.corrupt"] == 1
-
-    # -- fleet telemetry: a heartbeated fleet worker, then a stopped
-    #    one and a dead one — covers every engine.worker.* counter
-    import os
-    import signal
-    import time
-
-    from repro.experiments import EngineError, SubprocessFleetPool
-
-    pool = SubprocessFleetPool(_fabric_cell, 1, heartbeat=0.2, stall_misses=2)
-    try:
-        pool.submit(0, {"x": 1})
-        pool.ready()
-        deadline = time.monotonic() + 15
-        while (
-            pool.profile.counters.get("engine.worker.heartbeats", 0) == 0
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.05)
-        (channel,) = pool._channels.values()
-        os.kill(channel.process.pid, signal.SIGSTOP)
-        pool.submit(1, {"x": 2})
-        try:
-            pool.ready()
-        except EngineError:
-            pass
-    finally:
-        pool.close()
-    names |= set(pool.profile.counters)
-
-    dead_pool = SubprocessFleetPool(_fabric_cell, 1)
-    try:
-        dead_pool._processes[0].kill()
-        dead_pool._processes[0].wait()
-        dead_pool.submit(0, {"x": 1})
-        try:
-            dead_pool.ready()
-        except EngineError:
-            pass
-    finally:
-        dead_pool.close()
-    names |= set(dead_pool.profile.counters)
 
     # -- modal table with cycle-closing pseudo-edges: the skip counter
     modal_result = schedule_online(small, small_platform)

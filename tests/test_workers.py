@@ -1,8 +1,5 @@
-"""Tests for the worker-dispatch layer: the frame protocol, the
-``repro worker`` loop, and the pool implementations behind
-``run_spec(workers=...)``."""
-
-import io
+"""Tests for the worker-dispatch layer: pool selection and the pools
+behind ``run_spec(jobs=...)``."""
 
 import pytest
 
@@ -10,22 +7,15 @@ from repro.experiments import (
     Cell,
     EngineError,
     ExperimentSpec,
+    LocalProcessPool,
     SerialPool,
-    read_frame,
     resolve_pool,
     run_spec,
-    worker_main,
-    write_frame,
-)
-from repro.experiments.workers import (
-    MAX_FRAME_BYTES,
-    function_reference,
-    resolve_function,
 )
 
 
 def triple_cell(params):
-    """Module-level cell function (importable by fleet workers)."""
+    """Module-level cell function (importable by pool workers)."""
     return {"values": {"triple": params["x"] * 3}}
 
 
@@ -34,159 +24,12 @@ def bad_cell(params):
     return {"no_values": True}
 
 
-def _collect(cells):
-    return [(c.key, c.values["triple"]) for c in cells]
-
-
-def _spec(xs=(1, 2, 3, 4)):
-    return ExperimentSpec(
-        name="triples",
-        cells=tuple(Cell(key=f"x{x}", params={"x": x}) for x in xs),
-        cell_function=triple_cell,
-        reducer=_collect,
-    )
-
-
-class TestFrameProtocol:
-    def test_round_trip(self):
-        buffer = io.BytesIO()
-        write_frame(buffer, {"a": 1, "b": [2, 3]})
-        write_frame(buffer, {"c": "two"})
-        buffer.seek(0)
-        assert read_frame(buffer) == {"a": 1, "b": [2, 3]}
-        assert read_frame(buffer) == {"c": "two"}
-        assert read_frame(buffer) is None  # clean EOF
-
-    def test_torn_header_raises(self):
-        buffer = io.BytesIO(b"\x00\x00")
-        with pytest.raises(EngineError, match="torn frame header"):
-            read_frame(buffer)
-
-    def test_torn_body_raises(self):
-        buffer = io.BytesIO()
-        write_frame(buffer, {"a": 1})
-        torn = io.BytesIO(buffer.getvalue()[:-2])
-        with pytest.raises(EngineError, match="torn frame body"):
-            read_frame(torn)
-
-    def test_absurd_length_rejected(self):
-        buffer = io.BytesIO()
-        buffer.write((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
-        buffer.seek(0)
-        with pytest.raises(EngineError, match="exceeds"):
-            read_frame(buffer)
-
-    def test_non_object_payload_rejected(self):
-        import json
-
-        data = json.dumps([1, 2]).encode()
-        buffer = io.BytesIO(len(data).to_bytes(4, "big") + data)
-        with pytest.raises(EngineError, match="JSON object"):
-            read_frame(buffer)
-
-
-class TestFunctionReferences:
-    def test_round_trip(self):
-        ref = function_reference(triple_cell)
-        assert ref == f"{__name__}:triple_cell"
-        assert resolve_function(ref) is triple_cell
-
-    def test_local_function_rejected(self):
-        def local(params):
-            return {"values": {}}
-
-        with pytest.raises(EngineError, match="module-level"):
-            function_reference(local)
-
-    def test_malformed_reference_rejected(self):
-        with pytest.raises(EngineError, match="malformed"):
-            resolve_function("no-colon-here")
-
-    def test_missing_attribute_rejected(self):
-        with pytest.raises(EngineError, match="does not name"):
-            resolve_function(f"{__name__}:does_not_exist")
-
-    def test_unimportable_module_rejected(self):
-        with pytest.raises(EngineError, match="cannot import"):
-            resolve_function("definitely_not_a_module_xyz:fn")
-
-
-class TestWorkerMain:
-    def _run(self, *requests):
-        stdin = io.BytesIO()
-        for request in requests:
-            write_frame(stdin, request)
-        stdin.seek(0)
-        stdout = io.BytesIO()
-        code = worker_main(stdin, stdout)
-        stdout.seek(0)
-        responses = []
-        while (frame := read_frame(stdout)) is not None:
-            responses.append(frame)
-        return code, responses
-
-    def test_computes_cells(self):
-        ref = function_reference(triple_cell)
-        code, responses = self._run(
-            {"function": ref, "params": {"x": 2}},
-            {"function": ref, "params": {"x": 5}},
-        )
-        assert code == 0
-        assert [r["payload"]["values"] for r in responses] == [
-            {"triple": 6},
-            {"triple": 15},
-        ]
-        assert all(r["payload"]["seconds"] >= 0.0 for r in responses)
-
-    def test_errors_are_reported_not_fatal(self):
-        code, responses = self._run(
-            {"function": function_reference(bad_cell), "params": {"x": 1}},
-            {"function": function_reference(triple_cell), "params": {"x": 1}},
-        )
-        assert code == 0  # the loop survives a failing cell
-        assert "EngineError" in responses[0]["error"]
-        assert responses[1]["payload"]["values"] == {"triple": 3}
-
-    def test_unknown_function_is_an_error_response(self):
-        code, responses = self._run({"function": "nope:nope", "params": {}})
-        assert code == 0
-        assert "error" in responses[0]
-
-    def test_corrupt_frame_is_fatal_with_structured_error(self):
-        # a torn/garbage inbound frame leaves the stream offset
-        # unknowable: the worker must answer with a fatal error frame
-        # and exit nonzero instead of resynchronising by guesswork
-        stdin = io.BytesIO(b"\x00\x00\x00\x08only4")
-        stdout = io.BytesIO()
-        code = worker_main(stdin, stdout)
-        assert code == 2
-        stdout.seek(0)
-        frame = read_frame(stdout)
-        assert frame["fatal"] is True
-        assert "worker frame error" in frame["error"]
-
-    def test_good_cells_before_the_corrupt_frame_still_answered(self):
-        stdin = io.BytesIO()
-        write_frame(stdin, {"function": function_reference(triple_cell), "params": {"x": 2}})
-        stdin.write(b"\xff\xff\xff\xff")  # absurd length prefix
-        stdin.seek(0)
-        stdout = io.BytesIO()
-        code = worker_main(stdin, stdout)
-        assert code == 2
-        stdout.seek(0)
-        first = read_frame(stdout)
-        assert first["payload"]["values"] == {"triple": 6}
-        assert read_frame(stdout)["fatal"] is True
-
-
 class TestPoolSelection:
     def test_serial_below_fanout(self):
-        assert isinstance(resolve_pool("local", triple_cell, 1), SerialPool)
-        assert isinstance(resolve_pool("fleet", triple_cell, 0), SerialPool)
-
-    def test_unknown_substrate_rejected(self):
-        with pytest.raises(EngineError, match="unknown worker substrate"):
-            resolve_pool("cloud", triple_cell, 4)
+        assert isinstance(resolve_pool(triple_cell, 1), SerialPool)
+        assert isinstance(resolve_pool(triple_cell, 0), SerialPool)
+        with resolve_pool(triple_cell, 2) as pool:
+            assert isinstance(pool, LocalProcessPool)
 
     def test_serial_pool_contract(self):
         pool = SerialPool(triple_cell)
@@ -203,32 +46,26 @@ class TestPoolSelection:
             pool.ready()
 
 
-class TestFleetEndToEnd:
-    def test_fleet_matches_serial_bit_for_bit(self):
-        serial = run_spec(_spec(), jobs=1)
-        fleet = run_spec(_spec(), jobs=2, workers="fleet")
-        assert fleet.result == serial.result
-        assert [c.values for c in fleet.cells] == [c.values for c in serial.cells]
+class TestLocalProcessPool:
+    def test_completions_carry_their_tags(self):
+        with LocalProcessPool(triple_cell, 2) as pool:
+            for tag, x in enumerate((4, 5, 6)):
+                pool.submit(tag, {"x": x})
+            done = dict(pool.ready() for _ in range(3))
+            with pytest.raises(EngineError, match="no outstanding cells"):
+                pool.ready()
+        assert {tag: p["values"]["triple"] for tag, p in done.items()} == {
+            0: 12,
+            1: 15,
+            2: 18,
+        }
 
-    def test_subprocess_fleet_alias(self):
-        report = run_spec(_spec((1, 2)), jobs=2, workers="subprocess-fleet")
-        assert report.result == [("x1", 3), ("x2", 6)]
-
-    def test_fleet_propagates_cell_failures(self):
+    def test_propagates_cell_failures(self):
         spec = ExperimentSpec(
             name="bad",
             cells=(Cell(key="a", params={"x": 1}), Cell(key="b", params={"x": 2})),
             cell_function=bad_cell,
             reducer=lambda cells: None,
         )
-        with pytest.raises(EngineError, match="fleet worker"):
-            run_spec(spec, jobs=2, workers="fleet")
-
-    def test_fleet_shares_the_cache_with_the_parent(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        cold = run_spec(_spec(), jobs=2, workers="fleet", cache=str(cache_dir))
-        assert cold.stats.misses == 4
-        assert cold.engine_profile.counters["cache.backend.put"] == 4
-        warm = run_spec(_spec(), jobs=1, cache=str(cache_dir))
-        assert warm.stats.hits == 4
-        assert warm.result == cold.result
+        with pytest.raises(EngineError, match="'values' key"):
+            run_spec(spec, jobs=2)
