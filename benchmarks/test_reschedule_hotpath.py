@@ -12,14 +12,15 @@ performed is pure waste.  Statistics alternate between two drifted
 regimes (the staircase of the paper's Figure 4), and the same call
 sequence runs through both arms:
 
-* **fast arm** — the defaults: shared ``CtgAnalysis`` whose
-  ``path_cache`` carries the path analytics across calls, vectorized
-  slack kernels;
-* **seed arm** — ``dls_schedule`` followed by the scalar stretching
-  oracle (``tests/oracles/stretching.py``): the original per-path loop
-  re-deriving everything on every call (the seed behaviour of the
-  stretching stage; DLS and path-enumeration improvements are shared
-  by both arms, making the comparison conservative).
+* **fast arm** — the defaults: incremental DLS, shared ``CtgAnalysis``
+  whose ``path_cache`` carries the path analytics across calls,
+  vectorized slack kernels;
+* **seed arm** — ``reference_online``: the rescan-loop DLS oracle
+  (``tests/oracles/dls.py``) followed by the scalar stretching oracle
+  (``tests/oracles/stretching.py``), the original per-step and
+  per-path loops re-deriving everything on every call (path-enumeration
+  improvements are shared by both arms, making the comparison
+  conservative).
 
 MPEG's DLS flips the mapping when some branches drift (the equivalence
 tests cover that path — the cache then misses and rebuilds), so the
@@ -155,9 +156,9 @@ def run_hotpath_bench(cycles: int = HOTPATH_CYCLES):
         f"re-scheduling hot path — {calls} re-invocations "
         "(alternating threshold-drift regimes), 40-task MPEG CTG",
         f"  drifted branches (±{DRIFT})   : {', '.join(stable)}",
-        f"  seed arm (scalar oracle)    : {seed_time * 1e3:8.1f} ms"
+        f"  seed arm (oracles)          : {seed_time * 1e3:8.1f} ms"
         f"  ({seed_time / calls * 1e3:6.1f} ms/call)",
-        f"  fast arm (vectorized+cache) : {fast_time * 1e3:8.1f} ms"
+        f"  fast arm (incremental+cache): {fast_time * 1e3:8.1f} ms"
         f"  ({fast_time / calls * 1e3:6.1f} ms/call)",
         f"  speedup                     : {speedup:8.2f}x",
         "",

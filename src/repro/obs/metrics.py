@@ -90,6 +90,7 @@ VOCABULARY: Tuple[MetricSpec, ...] = (
     _spec("check", _T, "static verification inside ``schedule_online(check=True)``", "s"),
     # -- counters -------------------------------------------------------
     _spec("dls.tasks_placed", _C, "tasks placed by the DLS mapping stage"),
+    _spec("dls.candidates_evaluated", _C, "(task, PE) candidates DLS evaluated, not served from its cache"),
     _spec("paths.enumerated", _C, "paths enumerated on structural cache misses"),
     _spec("path_cache.hit", _C, "structural path-analytics cache hits"),
     _spec("path_cache.miss", _C, "structural path-analytics cache misses"),

@@ -42,6 +42,7 @@ re-render, never the table text:
 ``batch.sweep``                   timer      batched Monte-Carlo sampling + evaluation kernel
 ``check``                         timer      static verification inside ``schedule_online(check=True)``
 ``dls.tasks_placed``              counter    tasks placed by the DLS mapping stage
+``dls.candidates_evaluated``      counter    (task, PE) candidates DLS evaluated, not served from its cache
 ``paths.enumerated``              counter    paths enumerated on structural cache misses
 ``path_cache.hit``                counter    structural path-analytics cache hits
 ``path_cache.miss``               counter    structural path-analytics cache misses

@@ -22,6 +22,20 @@ the largest DL is placed, pseudo edges serialise it against its same-PE
 non-exclusive neighbours ("update the CTG"), and the ready list is
 refreshed until empty.
 
+The list scheduler is incremental.  Each (ready task, PE) candidate is
+evaluated once and cached with its start time, the transfers it would
+book and the links it read.  Placed tasks never move and exclusions are
+static, so committing task X on PE p with transfers on links L changes
+only the candidates of X itself, those on p and those that read a link
+in L: exactly those cache entries are dropped, every other one is still
+exact.  A task joins the ready set when its count of unplaced real
+predecessors reaches zero; per-PE and per-link busy intervals are kept
+sorted with :mod:`bisect`; and whether a pseudo edge is redundant is
+read off ancestor bitsets instead of searching the graph.  The result —
+placements, placement order, pseudo edges, link bookings and worst-case
+times — is identical to the original rescan loop, which is kept as the
+test oracle ``tests/oracles/dls.py``.
+
 Setting ``probability_aware=False`` and ``mutex_overlap=False``
 degrades the scheduler to a classic worst-case DLS — the mapping and
 ordering stage used by Reference Algorithm 1.
@@ -29,8 +43,9 @@ ordering stage used by Reference Algorithm 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from bisect import insort
+from operator import itemgetter
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -45,6 +60,16 @@ from ..ctg.minterms import (
 from ..platform.mpsoc import Platform
 from ..profiling import StageProfiler, as_profiler
 from .schedule import CommBooking, Schedule, SchedulingError
+
+#: a busy interval on a PE or link: ``(start, finish, owner task)``
+_Interval = Tuple[float, float, str]
+#: a transfer a candidate would book: ``(src_task, start, duration, kbytes)``
+_Transfer = Tuple[str, float, float, float]
+#: a cached candidate evaluation: the selection key ``(DL, −start, task,
+#: pe)``, the start, the transfers it would book and the links it read
+_Candidate = Tuple[
+    Tuple[float, float, str, str], float, List[_Transfer], Tuple[FrozenSet[str], ...]
+]
 
 
 def static_levels(
@@ -61,12 +86,16 @@ def static_levels(
     entering through the max term alongside the weighted sum.
     """
     levels: Dict[str, float] = {}
+    successors = ctg.graph.succ
     for task in reversed(ctg.topological_order()):
         base = platform.average_wcet(task)
         cond_sum = 0.0
         uncond_best = 0.0
         has_cond = False
-        for _src, dst, data in ctg.out_edges(task, include_pseudo=False):
+        for dst, attrs in successors[task].items():
+            data = attrs["data"]
+            if data.pseudo:
+                continue
             if data.condition is not None and probability_aware:
                 has_cond = True
                 prob = probabilities[data.condition.branch][data.condition.label]
@@ -78,140 +107,216 @@ def static_levels(
     return levels
 
 
-@dataclass
-class _LinkBooking:
-    """Mutable view of transfers on one link during scheduling."""
+def _first_fit(
+    busy: Sequence[_Interval], exclusive: FrozenSet[str], ready: float, duration: float
+) -> float:
+    """Earliest start ≥ ``ready`` of a ``duration`` slot among the
+    start-sorted intervals ``busy``; intervals owned by a task in
+    ``exclusive`` are ignored (the two can never both happen)."""
+    start = ready
+    for interval_start, interval_finish, owner in busy:
+        if owner in exclusive:
+            continue
+        if start + duration <= interval_start + EXACT_EPS:
+            break
+        if interval_finish > start:
+            start = interval_finish
+    return start
 
-    intervals: List[Tuple[float, float, str]]  # (start, finish, src_task)
+
+def _validate_mapping(
+    ctg: ConditionalTaskGraph, platform: Platform, fixed_mapping: Mapping[str, str]
+) -> None:
+    """Every task must be mapped to a known PE that can run it."""
+    known = set(platform.pe_names)
+    for task in ctg.tasks():
+        if task not in fixed_mapping:
+            raise SchedulingError(f"fixed_mapping has no PE for task {task!r}")
+        pe = fixed_mapping[task]
+        if pe not in known:
+            raise SchedulingError(
+                f"fixed_mapping maps task {task!r} to unknown PE {pe!r}"
+            )
+        if not platform.supports(task, pe):
+            raise SchedulingError(
+                f"fixed_mapping maps task {task!r} to PE {pe!r}, "
+                "which has no profile for it"
+            )
 
 
 class _DlsState:
-    """Bookkeeping of the list-scheduling main loop."""
+    """Bookkeeping of the incremental list-scheduling loop.
+
+    Built once per call: per-task real inputs ``(src, kbytes)`` in the
+    graph's in-edge order, real successors, candidate PEs with their
+    WCET and δ term, and the ancestor bitsets of the working graph.
+    """
 
     def __init__(
         self,
+        working: ConditionalTaskGraph,
+        platform: Platform,
         schedule: Schedule,
         mutex_overlap: bool,
+        fixed_mapping: Optional[Mapping[str, str]],
     ) -> None:
+        self.working = working
+        self.platform = platform
         self.schedule = schedule
-        self.mutex_overlap = mutex_overlap
+        tasks = working.tasks()
+        pes = platform.pe_names
+        no_tasks: FrozenSet[str] = frozenset()
+        exclusions = schedule.exclusions
+        #: tasks each task may overlap with (none without mutex_overlap)
+        self.exclusive: Dict[str, FrozenSet[str]] = {
+            task: exclusions.get(task, no_tasks) if mutex_overlap else no_tasks
+            for task in tasks
+        }
+        self.inputs: Dict[str, List[Tuple[str, float]]] = {}
+        self.successors: Dict[str, List[str]] = {}
+        #: unplaced real predecessors per task
+        self.waiting: Dict[str, int] = {}
+        #: (pe, wcet, δ) per task, in platform PE order
+        self.options: Dict[str, List[Tuple[str, float, float]]] = {}
+        graph = working.graph
+        for task in tasks:
+            inputs = [
+                (src, attrs["data"].comm_kbytes)
+                for src, attrs in graph.pred[task].items()
+                if not attrs["data"].pseudo
+            ]
+            self.inputs[task] = inputs
+            self.waiting[task] = len(inputs)
+            self.successors[task] = [
+                dst for dst, attrs in graph.succ[task].items() if not attrs["data"].pseudo
+            ]
+            avg = platform.average_wcet(task)
+            options = []
+            for pe in pes:
+                if platform.supports(task, pe) and (
+                    fixed_mapping is None or fixed_mapping[task] == pe
+                ):
+                    wcet = platform.wcet(task, pe)
+                    options.append((pe, wcet, avg - wcet))
+            self.options[task] = options
         #: worst-case (start, finish) of placed tasks at nominal speed
         self.times: Dict[str, Tuple[float, float]] = {}
-        self.link_bookings: Dict[frozenset, _LinkBooking] = {}
-        #: tasks per PE in placement order (avoids the repeated
-        #: order-index sort of Schedule.tasks_on in the candidate loop)
-        self.pe_tasks: Dict[str, List[str]] = {}
+        self.pe_of: Dict[str, str] = {}
+        #: tasks per PE in placement order (the pseudo-edge scan order)
+        self.pe_tasks: Dict[str, List[str]] = {pe: [] for pe in pes}
+        self.pe_busy: Dict[str, List[_Interval]] = {pe: [] for pe in pes}
+        self.link_busy: Dict[FrozenSet[str], List[_Interval]] = {}
+        # ancestors[t] has bit i set when the task at topological index i
+        # reaches t over real + pseudo edges
+        order = list(nx.topological_sort(graph))
+        self.bit: Dict[str, int] = {task: 1 << i for i, task in enumerate(order)}
+        self.ancestors: Dict[str, int] = {}
+        for task in order:
+            mask = 0
+            for pred in graph.pred[task]:
+                mask |= self.ancestors[pred] | self.bit[pred]
+            self.ancestors[task] = mask
 
-    def are_exclusive(self, a: str, b: str) -> bool:
-        """Mutual exclusion, gated by the mutex_overlap switch."""
-        return self.mutex_overlap and self.schedule.are_exclusive(a, b)
+    def evaluate(
+        self, task: str, pe: str, wcet: float
+    ) -> Tuple[float, List[_Transfer], Tuple[FrozenSet[str], ...]]:
+        """Earliest start of ``task`` on ``pe``, the transfers it needs
+        and the links it read.
 
-    # -- processor booking ------------------------------------------------
-    def earliest_pe_slot(self, task: str, pe: str, ready: float, duration: float) -> float:
-        """Earliest start ≥ ready with no overlap against non-exclusive
-        tasks already on ``pe`` (mutually exclusive tasks may overlap)."""
-        busy = sorted(
-            (self.times[other][0], self.times[other][1])
-            for other in self.pe_tasks.get(pe, ())
-            if not self.are_exclusive(task, other)
-        )
-        start = ready
-        for interval_start, interval_finish in busy:
-            if start + duration <= interval_start + EXACT_EPS:
-                break
-            start = max(start, interval_finish)
-        return start
-
-    # -- link booking ------------------------------------------------------
-    def earliest_link_slot(
-        self,
-        src_task: str,
-        src_pe: str,
-        dst_pe: str,
-        ready: float,
-        duration: float,
-        pending: Tuple[Tuple[float, float, str], ...] = (),
-    ) -> float:
-        """Earliest transfer start ≥ ready on the (src_pe, dst_pe) link.
-
-        Transfers whose source tasks are mutually exclusive may overlap
-        (they can never both happen); everything else serialises on the
-        dedicated point-to-point link.  ``pending`` carries intervals
-        tentatively claimed on this link by the candidate under
-        evaluation but not yet committed — a task pulling several
-        inputs over one link must serialise them against each other,
-        not only against booked transfers.
+        Each input's transfer takes the first link slot after its
+        source finishes; inputs sharing a link also serialise against
+        each other (``claimed``), not only against booked transfers.
         """
-        if duration <= 0.0:
-            return ready
-        key = frozenset((src_pe, dst_pe))
-        booking = self.link_bookings.get(key)
-        intervals = booking.intervals if booking is not None else []
-        if not intervals and not pending:
-            return ready
-        busy = sorted(
-            (s, f)
-            for s, f, other_src in [*intervals, *pending]
-            if not self.are_exclusive(src_task, other_src)
-        )
-        start = ready
-        for interval_start, interval_finish in busy:
-            if start + duration <= interval_start + EXACT_EPS:
-                break
-            start = max(start, interval_finish)
-        return start
+        times = self.times
+        exclusive = self.exclusive
+        ready = 0.0
+        transfers: List[_Transfer] = []
+        links: List[FrozenSet[str]] = []
+        claimed: Dict[FrozenSet[str], List[_Interval]] = {}
+        for src, kbytes in self.inputs[task]:
+            src_pe = self.pe_of[src]
+            finish = times[src][1]
+            duration = self.platform.comm_time(src_pe, pe, kbytes)
+            if duration > 0.0:
+                key = frozenset((src_pe, pe))
+                busy: Sequence[_Interval] = self.link_busy.get(key, ())
+                pending = claimed.setdefault(key, [])
+                if pending:
+                    busy = sorted([*busy, *pending])
+                start = _first_fit(busy, exclusive[src], finish, duration)
+                pending.append((start, start + duration, src))
+                transfers.append((src, start, duration, kbytes))
+                links.append(key)
+                ready = max(ready, start + duration)
+            else:
+                ready = max(ready, finish)
+        start = _first_fit(self.pe_busy[pe], exclusive[task], ready, wcet)
+        return start, transfers, tuple(links)
 
-    def book_link(
-        self, src_task: str, dst_task: str, src_pe: str, dst_pe: str,
-        start: float, duration: float, kbytes: float,
-    ) -> None:
-        """Commit a transfer to the link and the schedule record."""
-        if duration <= 0.0:
-            return
-        key = frozenset((src_pe, dst_pe))
-        self.link_bookings.setdefault(key, _LinkBooking([])).intervals.append(
-            (start, start + duration, src_task)
-        )
-        self.schedule.book_comm(
-            CommBooking(
-                src_task=src_task,
-                dst_task=dst_task,
-                src_pe=src_pe,
-                dst_pe=dst_pe,
-                start=start,
-                duration=duration,
-                kbytes=kbytes,
+    def commit(
+        self, task: str, pe: str, start: float, transfers: List[_Transfer]
+    ) -> FrozenSet[FrozenSet[str]]:
+        """Place ``task`` on ``pe`` at ``start``: record the placement,
+        book its incoming transfers and serialise it against same-PE
+        neighbours.  Returns the links the transfers were booked on."""
+        schedule = self.schedule
+        placement = schedule.place(task, pe)
+        finish = start + placement.wcet
+        self.times[task] = (start, finish)
+        self.pe_of[task] = pe
+        booked = set()
+        for src, t_start, duration, kbytes in transfers:
+            src_pe = self.pe_of[src]
+            key = frozenset((src_pe, pe))
+            insort(self.link_busy.setdefault(key, []), (t_start, t_start + duration, src))
+            booked.add(key)
+            schedule.book_comm(
+                CommBooking(
+                    src_task=src,
+                    dst_task=task,
+                    src_pe=src_pe,
+                    dst_pe=pe,
+                    start=t_start,
+                    duration=duration,
+                    kbytes=kbytes,
+                )
             )
-        )
+        # Pseudo edges: order `task` against every non-exclusive task
+        # already on the PE.  Redundant edges (already reachable) are
+        # skipped to keep the path set small.
+        exclusive = self.exclusive[task]
+        bit = self.bit
+        ancestors = self.ancestors
+        for other in self.pe_tasks[pe]:
+            if other in exclusive:
+                continue
+            o_start, o_finish = self.times[other]
+            if o_finish <= start + EXACT_EPS:
+                if not ancestors[task] & bit[other]:
+                    self._add_pseudo_edge(other, task)
+            elif finish <= o_start + EXACT_EPS:
+                if not ancestors[other] & bit[task]:
+                    self._add_pseudo_edge(task, other)
+            else:  # pragma: no cover - _first_fit prevents overlap
+                raise SchedulingError(
+                    f"internal: overlap between {task!r} and {other!r} on {pe!r}"
+                )
+        self.pe_tasks[pe].append(task)
+        insort(self.pe_busy[pe], (start, finish, task))
+        for succ in self.successors[task]:
+            self.waiting[succ] -= 1
+        return frozenset(booked)
 
-
-def _arrival_time(
-    state: _DlsState, ctg: ConditionalTaskGraph, platform: Platform, task: str, pe: str
-) -> Tuple[float, List[Tuple[str, float, float, float]]]:
-    """Data-ready time of ``task`` on ``pe`` plus the transfers it needs.
-
-    Returns ``(ready, transfers)`` where each transfer is
-    ``(src_task, start, duration, kbytes)`` — booked only if the
-    placement is committed.
-    """
-    ready = 0.0
-    transfers: List[Tuple[str, float, float, float]] = []
-    pending: Dict[frozenset, List[Tuple[float, float, str]]] = {}
-    for src, _dst, data in ctg.in_edges(task, include_pseudo=False):
-        src_pe = state.schedule.pe_of(src)
-        finish = state.times[src][1]
-        duration = platform.comm_time(src_pe, pe, data.comm_kbytes)
-        if duration > 0.0:
-            claimed = pending.setdefault(frozenset((src_pe, pe)), [])
-            start = state.earliest_link_slot(
-                src, src_pe, pe, finish, duration, pending=tuple(claimed)
-            )
-            claimed.append((start, start + duration, src))
-            transfers.append((src, start, duration, data.comm_kbytes))
-            ready = max(ready, start + duration)
-        else:
-            ready = max(ready, finish)
-    return ready, transfers
+    def _add_pseudo_edge(self, src: str, dst: str) -> None:
+        """Add ``src → dst`` and extend the ancestors of ``dst`` and of
+        everything it reaches by ``src`` and its ancestors."""
+        self.working.add_pseudo_edge(src, dst)
+        gained = self.ancestors[src] | self.bit[src]
+        dst_bit = self.bit[dst]
+        ancestors = self.ancestors
+        for node, mask in ancestors.items():
+            if node == dst or mask & dst_bit:
+                ancestors[node] = mask | gained
 
 
 def dls_schedule(
@@ -245,13 +350,15 @@ def dls_schedule(
         Optional task→PE assignment.  When given, the list scheduler
         only *orders* tasks — each task's candidate PE set shrinks to
         its assigned PE (the setting of ref [10], which schedules on a
-        pre-given mapping).
+        pre-given mapping).  Every task must map to a PE that can run
+        it, else :class:`SchedulingError` names the offending task.
     analysis:
         Pre-computed structural analysis (scenarios/exclusions); saves
         re-deriving it on every adaptive re-scheduling call.
     profiler:
         Optional :class:`~repro.profiling.StageProfiler`; records the
-        ``dls.levels`` stage and the ``dls.tasks_placed`` counter.
+        ``dls.levels`` stage and the ``dls.tasks_placed`` and
+        ``dls.candidates_evaluated`` counters.
 
     Returns
     -------
@@ -259,6 +366,8 @@ def dls_schedule(
         All tasks placed at nominal speed, pseudo edges recorded.
     """
     prof = as_profiler(profiler)
+    if fixed_mapping is not None:
+        _validate_mapping(ctg, platform, fixed_mapping)
     if probabilities is None:
         probabilities = ctg.default_probabilities
     working = ctg.copy()
@@ -268,86 +377,38 @@ def dls_schedule(
     else:
         exclusions = analysis.exclusions
     schedule = Schedule(working, platform, exclusions)
-    state = _DlsState(schedule, mutex_overlap)
     with prof.stage("dls.levels"):
         levels = static_levels(ctg, platform, probabilities, probability_aware)
+    state = _DlsState(working, platform, schedule, mutex_overlap, fixed_mapping)
 
-    unscheduled = set(ctg.tasks())
-    while unscheduled:
-        ready = [
-            task
-            for task in sorted(unscheduled)
-            if all(
-                pred in schedule.placements
-                for pred in working.predecessors(task, include_pseudo=False)
-            )
-        ]
+    ready = [task for task, count in state.waiting.items() if count == 0]
+    cache: Dict[Tuple[str, str], _Candidate] = {}
+    evaluated = 0
+    for _step in range(len(state.waiting)):
         if not ready:
             raise SchedulingError("no ready task — graph is not a DAG?")
-        best: Optional[Tuple[float, float, str, str]] = None
-        best_transfers: List[Tuple[str, float, float, float]] = []
-        best_start = 0.0
-        for task in sorted(ready):
-            avg = platform.average_wcet(task)
-            for pe in platform.pe_names:
-                if not platform.supports(task, pe):
+        for task in ready:
+            level = levels[task]
+            for pe, wcet, delta in state.options[task]:
+                if (task, pe) in cache:
                     continue
-                if fixed_mapping is not None and fixed_mapping[task] != pe:
-                    continue
-                wcet = platform.wcet(task, pe)
-                ready_at, transfers = _arrival_time(state, working, platform, task, pe)
-                start = state.earliest_pe_slot(task, pe, ready_at, wcet)
-                delta = avg - wcet
-                dl = levels[task] - start + delta
-                # Maximise DL; break ties on earlier start then names for
-                # determinism.
-                key = (dl, -start, task, pe)
-                if best is None or key > (best[0], -best_start, best[2], best[3]):
-                    best = (dl, start, task, pe)
-                    best_start = start
-                    best_transfers = transfers
-        assert best is not None
-        _dl, start, task, pe = best
-        _commit(state, working, platform, task, pe, start, best_transfers)
-        unscheduled.discard(task)
+                start, transfers, links = state.evaluate(task, pe, wcet)
+                evaluated += 1
+                # Maximise DL; break ties on earlier start then names
+                # for determinism.
+                rank = (level - start + delta, -start, task, pe)
+                cache[task, pe] = (rank, start, transfers, links)
+        (_dl, _neg, task, pe), start, transfers, _links = max(
+            cache.values(), key=itemgetter(0)
+        )
+        booked = state.commit(task, pe, start, transfers)
+        ready.remove(task)
+        ready.extend(s for s in state.successors[task] if state.waiting[s] == 0)
+        cache = {
+            key: entry
+            for key, entry in cache.items()
+            if key[0] != task and key[1] != pe and booked.isdisjoint(entry[3])
+        }
     prof.count("dls.tasks_placed", len(schedule.placements))
+    prof.count("dls.candidates_evaluated", evaluated)
     return schedule
-
-
-def _commit(
-    state: _DlsState,
-    working: ConditionalTaskGraph,
-    platform: Platform,
-    task: str,
-    pe: str,
-    start: float,
-    transfers: List[Tuple[str, float, float, float]],
-) -> None:
-    """Place ``task`` on ``pe`` at ``start``: record placement, book its
-    incoming transfers and serialise it against same-PE neighbours."""
-    schedule = state.schedule
-    placement = schedule.place(task, pe)
-    finish = start + placement.wcet
-    state.times[task] = (start, finish)
-    for src, t_start, duration, kbytes in transfers:
-        state.book_link(src, task, schedule.pe_of(src), pe, t_start, duration, kbytes)
-    # Pseudo edges: order `task` against every non-exclusive task already
-    # on the PE.  Redundant edges (already reachable) are skipped to keep
-    # the path set small.
-    graph = working.graph
-    peers = state.pe_tasks.setdefault(pe, [])
-    for other in peers:
-        if other == task or state.are_exclusive(task, other):
-            continue
-        o_start, o_finish = state.times[other]
-        if o_finish <= start + EXACT_EPS:
-            if not nx.has_path(graph, other, task):
-                working.add_pseudo_edge(other, task)
-        elif finish <= o_start + EXACT_EPS:
-            if not nx.has_path(graph, task, other):
-                working.add_pseudo_edge(task, other)
-        else:  # pragma: no cover - earliest_pe_slot prevents overlap
-            raise SchedulingError(
-                f"internal: overlap between {task!r} and {other!r} on {pe!r}"
-            )
-    peers.append(task)

@@ -12,8 +12,8 @@ order (see ``tests/test_stretching_oracle.py``).
 :func:`reference_stretch` is the entry point; it mirrors the argument
 handling of ``stretch_schedule`` (deadline override, default
 probabilities, scenario enumeration) without any path cache.
-:func:`reference_online` runs DLS and then the reference stretch, the
-uncached twin of ``schedule_online``.
+:func:`reference_online` runs the DLS oracle (``tests/oracles/dls.py``)
+and then the reference stretch, the uncached twin of ``schedule_online``.
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ from repro.ctg.minterms import (
 )
 from repro.ctg.paths import CTGPath, enumerate_paths, path_delay
 from repro.profiling import StageProfiler, as_profiler
-from repro.scheduling.dls import dls_schedule
 from repro.scheduling.online import OnlineResult
 from repro.scheduling.schedule import Schedule, SchedulingError
 from repro.scheduling.stretching import _NO_PATHS, StretchReport
+
+from .dls import reference_dls
 
 
 def reference_stretch(
@@ -360,7 +361,7 @@ def reference_online(
     probabilities: Optional[BranchProbabilities] = None,
     analysis: Optional[CtgAnalysis] = None,
 ) -> OnlineResult:
-    """DLS mapping followed by :func:`reference_stretch`.
+    """The DLS oracle's mapping followed by :func:`reference_stretch`.
 
     The oracle twin of :func:`repro.scheduling.online.schedule_online`
     with the default knobs and the continuous speed policy.
@@ -369,6 +370,6 @@ def reference_online(
         probabilities = ctg.default_probabilities
     if analysis is None:
         analysis = CtgAnalysis.of(ctg)
-    schedule = dls_schedule(ctg, platform, probabilities, analysis=analysis)
+    schedule = reference_dls(ctg, platform, probabilities, analysis=analysis)
     report = reference_stretch(schedule, probabilities, analysis=analysis)
     return OnlineResult(schedule=schedule, stretch=report)

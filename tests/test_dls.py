@@ -1,14 +1,29 @@
-"""Unit + property tests for the modified DLS scheduler."""
+"""Unit + property tests for the modified DLS scheduler, and its
+agreement with the rescan-loop oracle in ``tests/oracles/dls.py``."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.ctg import GeneratorConfig, figure1_ctg, generate_ctg
+from repro.ctg import CtgAnalysis, GeneratorConfig, figure1_ctg, generate_ctg
 from repro.ctg.examples import diamond_ctg, two_sided_branch_ctg
 from repro.platform import Platform, PlatformConfig, ProcessingElement, generate_platform
-from repro.scheduling import dls_schedule, static_levels
+from repro.profiling import StageProfiler
+from repro.scheduling import SchedulingError, dls_schedule, static_levels
 from repro.scheduling.baselines import load_balanced_mapping
+from repro.workloads import (
+    cruise_ctg,
+    cruise_platform,
+    mpeg_ctg,
+    mpeg_platform,
+    wlan_ctg,
+    wlan_platform,
+)
+
+from .instances import build_instance, random_distribution
+from .oracles import dls as dls_oracle
+from .oracles.dls import reference_dls
 
 
 def uniform_platform(ctg, pes=2, wcet=10.0, energy=10.0, bandwidth=1.0):
@@ -140,6 +155,37 @@ class TestFixedMapping:
         sched = dls_schedule(ctg, platform, fixed_mapping=mapping)
         assert {t: sched.pe_of(t) for t in ctg.tasks()} == mapping
 
+    def test_task_missing_from_mapping_is_a_scheduling_error(self):
+        ctg, platform = cruise_ctg(), cruise_platform()
+        mapping = load_balanced_mapping(ctg, platform)
+        del mapping["speed_sensor"]
+        with pytest.raises(SchedulingError, match="no PE for task 'speed_sensor'"):
+            dls_schedule(ctg, platform, fixed_mapping=mapping)
+
+    def test_unknown_pe_is_a_scheduling_error(self):
+        ctg, platform = cruise_ctg(), cruise_platform()
+        mapping = load_balanced_mapping(ctg, platform)
+        mapping["speed_sensor"] = "pe9"
+        with pytest.raises(
+            SchedulingError, match="task 'speed_sensor' to unknown PE 'pe9'"
+        ):
+            dls_schedule(ctg, platform, fixed_mapping=mapping)
+
+    def test_unsupported_pe_is_a_scheduling_error(self):
+        ctg = diamond_ctg()
+        platform = Platform([ProcessingElement("pe0"), ProcessingElement("pe1")])
+        platform.connect_all(bandwidth=1.0, energy_per_kbyte=0.1)
+        for task in ctg.tasks():
+            platform.set_task_profile(task, "pe0", wcet=10.0, energy=10.0)
+            if task != "left":
+                platform.set_task_profile(task, "pe1", wcet=10.0, energy=10.0)
+        mapping = {task: "pe0" for task in ctg.tasks()}
+        mapping["left"] = "pe1"
+        with pytest.raises(
+            SchedulingError, match="task 'left' to PE 'pe1', which has no profile"
+        ):
+            dls_schedule(ctg, platform, fixed_mapping=mapping)
+
     def test_load_balanced_mapping_spreads_load(self):
         ctg = generate_ctg(GeneratorConfig(nodes=24, branch_nodes=0, category=2, seed=3))
         platform = generate_platform(ctg.tasks(), PlatformConfig(pes=3, seed=3))
@@ -199,3 +245,134 @@ def test_dls_invariants(nodes, branches, category, pes, seed):
     times = sched.worst_case_times()
     for src, dst, _data in ctg.edges(include_pseudo=False):
         assert times[dst][0] >= times[src][1] - 1e-9
+
+
+# ----------------------------------------------------------------------
+# Agreement with the rescan-loop oracle
+# ----------------------------------------------------------------------
+
+
+def _outcome(schedule):
+    """Everything DLS decides: placements, their order, the pseudo
+    edges in insertion order, the link bookings and the timing."""
+    return (
+        {task: placement.pe for task, placement in schedule.placements.items()},
+        schedule.placement_order(),
+        [(src, dst) for src, dst, data in schedule.ctg.edges() if data.pseudo],
+        schedule.comm_bookings,
+        schedule.worst_case_times(),
+    )
+
+
+def _assert_matches_oracle(ctg, platform, probabilities=None, fixed=False, **knobs):
+    analysis = CtgAnalysis.of(ctg)
+    if fixed:
+        knobs["fixed_mapping"] = load_balanced_mapping(ctg, platform)
+    fast = dls_schedule(ctg, platform, probabilities, analysis=analysis, **knobs)
+    oracle = reference_dls(ctg, platform, probabilities, analysis=analysis, **knobs)
+    assert _outcome(fast) == _outcome(oracle)
+
+
+#: (mutex_overlap, probability_aware, fixed_mapping) switches
+knobs = dict(
+    mutex_overlap=st.booleans(),
+    probability_aware=st.booleans(),
+    fixed=st.booleans(),
+    dist_seed=st.integers(0, 1000),
+)
+
+
+def _generated(nodes, branches, category, pes, seed):
+    try:
+        return build_instance(nodes, branches, category, pes, seed, 1.5)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    nodes=st.integers(8, 30),
+    branches=st.integers(0, 4),
+    category=st.sampled_from([1, 2]),
+    pes=st.integers(1, 5),
+    seed=st.integers(0, 500),
+    **knobs,
+)
+def test_matches_oracle_on_generated_ctgs(
+    nodes, branches, category, pes, seed, mutex_overlap, probability_aware, fixed, dist_seed
+):
+    ctg, platform = _generated(nodes, branches, category, pes, seed)
+    probabilities = random_distribution(ctg, np.random.default_rng(dist_seed))
+    _assert_matches_oracle(
+        ctg, platform, probabilities, fixed,
+        mutex_overlap=mutex_overlap, probability_aware=probability_aware,
+    )
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    nodes=st.integers(30, 38),
+    pes=st.integers(2, 4),
+    seed=st.integers(0, 300),
+    **knobs,
+)
+def test_matches_oracle_past_63_scenarios(
+    nodes, pes, seed, mutex_overlap, probability_aware, fixed, dist_seed
+):
+    """Seven independent branches: 128 scenarios, past a 64-bit mask."""
+    ctg, platform = _generated(nodes, 7, 2, pes, seed)
+    assert len(CtgAnalysis.of(ctg).scenarios) > 63
+    probabilities = random_distribution(ctg, np.random.default_rng(dist_seed))
+    _assert_matches_oracle(
+        ctg, platform, probabilities, fixed,
+        mutex_overlap=mutex_overlap, probability_aware=probability_aware,
+    )
+
+
+def _figure1_instance():
+    ctg = figure1_ctg()
+    return ctg, generate_platform(ctg.tasks(), PlatformConfig(pes=2, seed=42))
+
+
+WORKLOADS = {
+    "figure1": _figure1_instance,
+    "cruise": lambda: (cruise_ctg(), cruise_platform()),
+    "mpeg": lambda: (mpeg_ctg(), mpeg_platform()),
+    "wlan": lambda: (wlan_ctg(), wlan_platform()),
+}
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["mapped", "fixed"])
+@pytest.mark.parametrize(
+    "mutex_overlap, probability_aware",
+    [(True, True), (False, True), (True, False), (False, False)],
+    ids=["modified", "serialised", "worst-case-levels", "reference-1"],
+)
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_bundled_workloads_match_oracle(workload, mutex_overlap, probability_aware, fixed):
+    ctg, platform = WORKLOADS[workload]()
+    _assert_matches_oracle(
+        ctg, platform, None, fixed,
+        mutex_overlap=mutex_overlap, probability_aware=probability_aware,
+    )
+
+
+def test_candidate_cache_saves_evaluations(monkeypatch):
+    """``dls.candidates_evaluated`` counts only computed evaluations,
+    fewer than the oracle's per-step rescan of every (task, PE) pair."""
+    ctg, platform = cruise_ctg(), cruise_platform()
+    rescans = 0
+    arrival_time = dls_oracle._arrival_time
+
+    def counting(*args):
+        nonlocal rescans
+        rescans += 1
+        return arrival_time(*args)
+
+    monkeypatch.setattr(dls_oracle, "_arrival_time", counting)
+    reference_dls(ctg, platform)
+    profiler = StageProfiler()
+    dls_schedule(ctg, platform, profiler=profiler)
+    evaluated = profiler.counter("dls.candidates_evaluated")
+    assert len(ctg) <= evaluated < rescans
+    assert profiler.counter("dls.tasks_placed") == len(ctg)

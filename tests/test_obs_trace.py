@@ -288,6 +288,7 @@ class TestProfilePreservation:
             "stretch.sweep": 1,
         }
         assert result.profile.counters == {
+            "dls.candidates_evaluated": 365,
             "dls.tasks_placed": 40,
             "executor.instances": 150,
             "path_cache.miss": 1,
@@ -302,6 +303,7 @@ class TestProfilePreservation:
     def test_adaptive_profile_unchanged(self, traced_runs):
         result, _ = traced_runs["adaptive"]
         assert result.profile.counters == {
+            "dls.candidates_evaluated": 5335,
             "dls.tasks_placed": 600,
             "executor.instances": 150,
             "path_cache.hit": 13,
@@ -319,6 +321,7 @@ class TestProfilePreservation:
     def test_faulted_profile_unchanged(self, traced_runs):
         result, _ = traced_runs["faulted"]
         assert result.profile.counters == {
+            "dls.candidates_evaluated": 5690,
             "dls.tasks_placed": 640,
             "executor.faulted_instances": 30,
             "executor.instances": 150,
