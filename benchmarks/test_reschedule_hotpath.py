@@ -32,11 +32,20 @@ Acceptance: ≥ 3× wall-clock on the repeated re-invocations on the
 40-task MPEG CTG.  A second scenario runs the cruise-controller
 adaptive trace end to end and archives the profiler's stage report.
 
+The third scenario times the other side of the cache, the miss path:
+it collects every schedule on which the adaptive loop's path cache
+missed over one drifting MPEG trace (the initial schedule and each
+mapping flip), then builds their path structures with the bitmask-DFS
+``build_structure`` and with the three-pass oracle
+``reference_structure`` (``tests/oracles/pathcache.py``).  Acceptance:
+identical structures and ≥ 2.5× wall-clock.
+
 Setting ``REPRO_BENCH_QUICK=1`` shrinks the workload (fewer regime
-cycles, shorter trace) for CI regression runs; the speedup and
-correctness assertions are unchanged.
+cycles, shorter traces, one build round) for CI regression runs; the
+speedup and correctness assertions are unchanged.
 """
 
+import gc
 import os
 import time
 
@@ -44,11 +53,13 @@ from repro.adaptive.controller import AdaptiveConfig
 from repro.ctg.minterms import CtgAnalysis
 from repro.profiling import StageProfiler
 from repro.scheduling import dls_schedule, schedule_online, set_deadline_from_makespan
-from repro.scheduling.pathcache import schedule_fingerprint
+from repro.scheduling import pathcache
+from repro.scheduling.pathcache import build_structure, schedule_fingerprint
 from repro.sim.runner import run_adaptive
 from repro.workloads.cruise import cruise_ctg, cruise_platform
 from repro.workloads.mpeg import mpeg_ctg, mpeg_platform
 from repro.workloads.traces import drifting_trace
+from tests.oracles.pathcache import assert_same_structure, reference_structure
 from tests.oracles.stretching import reference_online
 
 #: drift magnitude of the regime pair — the controller's re-scheduling
@@ -59,6 +70,8 @@ DRIFT = 0.1
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 HOTPATH_CYCLES = 2 if QUICK else 6
 CRUISE_TRACE_LENGTH = 100 if QUICK else 300
+FLIP_TRACE_LENGTH = 50 if QUICK else 200
+BUILD_ROUNDS = 1 if QUICK else 3
 
 
 def _shifted(base, branches, delta):
@@ -205,3 +218,72 @@ def test_cruise_adaptive_trace_profile(benchmark, archive):
     assert prof.counter("path_cache.hit") + prof.counter("path_cache.miss") == (
         result.reschedule_calls + 1
     )
+
+
+def _mapping_flip_schedules(ctg, platform, deadline, length):
+    """Every schedule on which the path cache missed while the adaptive
+    loop replayed one drifting MPEG trace, with its scenario tuple."""
+    missed = []
+    build = pathcache.build_structure
+
+    def capture(schedule, scenarios, profiler=None):
+        missed.append((schedule, tuple(scenarios)))
+        return build(schedule, scenarios, profiler)
+
+    pathcache.build_structure = capture
+    try:
+        run_adaptive(
+            ctg,
+            platform,
+            drifting_trace(ctg, length, seed=7),
+            ctg.default_probabilities,
+            AdaptiveConfig(window_size=20, threshold=0.1),
+            deadline=deadline,
+        )
+    finally:
+        pathcache.build_structure = build
+    return missed
+
+
+def _time_builds(builder, schedules):
+    gc.collect()
+    start = time.perf_counter()
+    built = [builder(schedule, scenarios) for schedule, scenarios in schedules]
+    return time.perf_counter() - start, built
+
+
+def run_structure_build_bench(length: int = FLIP_TRACE_LENGTH, rounds: int = BUILD_ROUNDS):
+    """Time both structure builders on the mapping-flip schedules."""
+    ctg, platform = mpeg_ctg(), mpeg_platform()
+    deadline = set_deadline_from_makespan(ctg, platform, 1.5)
+    schedules = _mapping_flip_schedules(ctg, platform, deadline, length)
+    fast_time = seed_time = 0.0
+    for _ in range(rounds):  # alternate the arms, sum over the rounds
+        elapsed, fast = _time_builds(build_structure, schedules)
+        fast_time += elapsed
+        elapsed, seed = _time_builds(reference_structure, schedules)
+        seed_time += elapsed
+    for structure, reference in zip(fast, seed):
+        assert_same_structure(structure, reference, ctg.default_probabilities)
+
+    builds = rounds * len(schedules)
+    paths = sum(structure.path_count for structure in fast)
+    speedup = seed_time / fast_time
+    lines = [
+        f"path-structure builds on the miss path — {len(schedules)} mapping-flip "
+        f"schedules of one {length}-instance drifting MPEG trace, {rounds} round(s)",
+        f"  paths per round              : {paths}",
+        f"  seed arm (reference_structure): {seed_time * 1e3:8.1f} ms"
+        f"  ({seed_time / builds * 1e3:6.1f} ms/build)",
+        f"  fast arm (build_structure)    : {fast_time * 1e3:8.1f} ms"
+        f"  ({fast_time / builds * 1e3:6.1f} ms/build)",
+        f"  speedup                       : {speedup:8.2f}x",
+    ]
+    return speedup, "\n".join(lines)
+
+
+def test_structure_build_speedup(benchmark, archive):
+    speedup, report = benchmark.pedantic(run_structure_build_bench, rounds=1, iterations=1)
+    archive("structure_build", report)
+    benchmark.extra_info["speedup"] = round(speedup, 2)
+    assert speedup >= 2.5, f"structure build only {speedup:.2f}x faster than the oracle"

@@ -61,27 +61,33 @@ def check_pathcache(
                 subject="edge_list",
             )
         )
-    graph = ctg.graph
-    for index, path in enumerate(structure.paths):
-        broken_hop = next(
-            (
-                (src, dst)
-                for src, dst in zip(path.nodes, path.nodes[1:])
-                if not graph.has_edge(src, dst)
-            ),
-            None,
-        )
-        if broken_hop is not None:
-            findings.append(
-                Diagnostic(
-                    "CACHE001",
-                    f"cached path #{index} uses edge "
-                    f"{broken_hop[0]}→{broken_hop[1]}, which is not in the "
-                    "scheduled graph",
-                    subject=f"path[{index}]",
-                )
+    if structure.task_list == tasks:
+        # node indices resolve against the task list, so the cached
+        # paths are only walkable while the task universe matches
+        graph = ctg.graph
+        gather = structure.node_gather.tolist()
+        starts = structure.node_starts.tolist()
+        for index, (start, end) in enumerate(zip(starts, [*starts[1:], len(gather)])):
+            nodes = [tasks[t] for t in gather[start:end]]
+            broken_hop = next(
+                (
+                    (src, dst)
+                    for src, dst in zip(nodes, nodes[1:])
+                    if not graph.has_edge(src, dst)
+                ),
+                None,
             )
-            break  # one broken path proves staleness; don't spam
+            if broken_hop is not None:
+                findings.append(
+                    Diagnostic(
+                        "CACHE001",
+                        f"cached path #{index} uses edge "
+                        f"{broken_hop[0]}→{broken_hop[1]}, which is not in the "
+                        "scheduled graph",
+                        subject=f"path[{index}]",
+                    )
+                )
+                break  # one broken path proves staleness; don't spam
     if structure.scenarios != analysis.scenarios:
         findings.append(
             Diagnostic(

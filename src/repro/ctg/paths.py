@@ -22,6 +22,12 @@ from .graph import ConditionalTaskGraph
 
 BranchProbabilities = Mapping[str, Mapping[str, float]]
 
+#: Safety valve against pathological graphs: enumerating more paths
+#: than this raises ``RuntimeError("path explosion: ...")``.  Read at
+#: call time by :func:`enumerate_paths` and by the array-native builder
+#: in :mod:`repro.scheduling.pathcache`.
+MAX_PATHS = 2_000_000
+
 
 @dataclass(frozen=True)
 class CTGPath:
@@ -84,7 +90,7 @@ class CTGPath:
 def enumerate_paths(
     ctg: ConditionalTaskGraph,
     include_pseudo: bool = True,
-    max_paths: int = 2_000_000,
+    max_paths: Optional[int] = None,
 ) -> Tuple[CTGPath, ...]:
     """All feasible source→sink paths of ``ctg`` (BFS/DFS over the DAG).
 
@@ -98,8 +104,11 @@ def enumerate_paths(
         Include scheduler serialisation edges, so paths capture
         processor contention (this is what the stretching stage needs).
     max_paths:
-        Safety valve against pathological graphs.
+        Safety valve against pathological graphs; ``None`` reads
+        :data:`MAX_PATHS`.
     """
+    if max_paths is None:
+        max_paths = MAX_PATHS
     paths: List[CTGPath] = []
     # One adjacency pass up front: the DFS below visits every partial
     # path, and going through the graph view per visit dominates the

@@ -13,8 +13,9 @@ import pytest
 from repro.check import check_instance, check_pathcache, verify_schedule
 from repro.ctg.graph import EdgeData
 from repro.ctg.minterms import CtgAnalysis
-from repro.scheduling import schedule_online, set_deadline_from_makespan
-from repro.scheduling.pathcache import schedule_fingerprint
+from repro.scheduling import dls_schedule, schedule_online, set_deadline_from_makespan
+from repro.scheduling.baselines import load_balanced_mapping
+from repro.scheduling.pathcache import build_structure, schedule_fingerprint
 from repro.workloads import cruise_ctg, cruise_platform
 
 
@@ -217,6 +218,23 @@ def test_stale_path_cache_structure(instance):
     )
     findings = check_pathcache(schedule, analysis)
     assert any(d.code == "CACHE001" for d in findings)
+
+
+def test_path_cache_structure_of_another_schedule(instance):
+    """CACHE001 on a cached path when the entry was built for a schedule
+    with other pseudo edges (same tasks and real edges)."""
+    ctg, platform, schedule, analysis = instance
+    other = dls_schedule(
+        ctg, platform, analysis=analysis, fixed_mapping=load_balanced_mapping(ctg, platform)
+    )
+    assert schedule_fingerprint(other) != schedule_fingerprint(schedule)
+    analysis.path_cache[schedule_fingerprint(schedule)] = build_structure(
+        other, analysis.scenarios
+    )
+    findings = check_pathcache(schedule, analysis)
+    assert [d.code for d in findings] == ["CACHE001"]
+    assert findings[0].subject.startswith("path[")
+    assert "which is not in the scheduled graph" in findings[0].message
 
 
 def test_path_cache_scenario_mismatch(instance):
