@@ -6,13 +6,13 @@ Usage
     python -m repro run table1 [table3 figure4 ...] | all
         [--jobs N] [--cache-dir DIR] [--resume] [--reorder-window N]
         [--format text|json] [--artifacts-dir DIR] [--canonical] [--smoke]
-        [--policy continuous|discrete|...] [--trace-dir DIR] [--live]
+        [--policy continuous|discrete|...] [--trace-dir DIR]
         [--profile]
     python -m repro chaos [--smoke] [--gate] [--workloads mpeg ...]
         [--plans overrun ...] [--policies default none] [--length N]
         [--jobs N] [--cache-dir DIR] [--resume] [--reorder-window N]
         [--format text|json] [--artifacts-dir DIR] [--no-canonical]
-        [--policy continuous|discrete|...] [--trace-dir DIR] [--live]
+        [--policy continuous|discrete|...] [--trace-dir DIR]
     python -m repro cache stats|verify|prune|gc CACHE_DIR
         [--older-than DAYS] [--keep-artifact FILE ...] [--json]
     python -m repro schedule INSTANCE.json [--deadline-factor 1.3] [--check]
@@ -21,9 +21,8 @@ Usage
     python -m repro trace mpeg|cruise|wlan [--out RUN.trace.json]
         [--metrics-out RUN.metrics.json] [--plan overrun|...|none]
         [--length N] [--timeline] [--policy continuous|discrete|...]
-    python -m repro report FILE_OR_DIR [FILE_OR_DIR ...] [--json]
-    python -m repro report --diff A B [--json]
-    python -m repro tail EVENTS.jsonl [--follow] [--canonical]
+    python -m repro report FILE [--json]
+    python -m repro tail EVENTS.jsonl [--canonical]
     python -m repro demo
 
 ``run`` regenerates the requested tables/figures through the
@@ -51,20 +50,14 @@ on any error-severity diagnostic (see ``docs/diagnostics.md``);
 ``trace`` replays one seeded run of a built-in workload with the
 tracer attached (:mod:`repro.obs`) and writes a Perfetto-loadable
 Chrome trace plus a byte-stable canonical metrics snapshot;
-``report`` renders a human-readable summary of any JSON file the
-package writes — a Chrome trace, an experiment artifact, a metrics
-snapshot or a ``repro.events/1`` ledger; given *several* files (or
-whole shard directories) it merges them into one fleet report
-(``repro.fleet/2``: cross-shard cell/cache totals, merged stages and
-the recovery table), and
-``--diff A B`` compares two runs (cache hit-rate, counter and timing
-deltas — see ``docs/observability.md``); ``run``/``chaos`` accept
-``--trace-dir DIR`` to trace the engine run itself (one span per
-cell), write an ``<experiment>.events.jsonl`` run-event ledger next
-to each artifact when ``--artifacts-dir`` is given, and render a
-single-line live progress view with ``--live``; ``tail`` replays a ledger as
-human-readable lines (``--follow`` to stream a live one,
-``--canonical`` to print the canonicalised byte-stable form CI
+``report`` renders a human-readable summary of one file the package
+writes — a Chrome trace, an experiment artifact, a metrics snapshot
+or a ``repro.events/1`` ledger (see ``docs/observability.md``);
+``run``/``chaos`` accept ``--trace-dir DIR`` to trace the engine run
+itself (one span per cell) and write an ``<experiment>.events.jsonl``
+run-event ledger next to each artifact when ``--artifacts-dir`` is
+given; ``tail`` replays a ledger as human-readable lines
+(``--canonical`` to print the canonicalised byte-stable form CI
 ``cmp``\\ s); ``run``/``schedule`` accept ``--profile`` to print the
 stage-timing/counter table that previously was silently discarded;
 ``cache`` inspects and maintains a cell cache directory (``stats``,
@@ -80,6 +73,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Dict
@@ -277,56 +271,36 @@ def _write_engine_trace(trace_dir, name: str, report, tracer) -> None:
     )
 
 
-def _make_ledger(args: argparse.Namespace, name: str):
-    """The run-event ledger one engine run writes (or ``None``).
-
-    ``--artifacts-dir`` puts an ``<experiment>.events.jsonl`` file next
-    to the artifact; ``--live`` alone keeps the ledger in memory purely
-    to drive the progress view.  The caller owns ``close()``.
-    """
-    if not args.artifacts_dir and not args.live:
-        return None
-    from .obs import EventLedger, LiveProgress
-
-    path = (
-        Path(args.artifacts_dir) / f"{name}.events.jsonl"
-        if args.artifacts_dir
-        else None
-    )
-    ledger = EventLedger(path=path)
-    if args.live:
-        ledger.subscribe(LiveProgress())
-    return ledger
-
-
 def _run_engine(args: argparse.Namespace, spec: ExperimentSpec, name: str):
     """One engine run under the shared ``run``/``chaos`` flags.
 
-    Builds the tracer (``--trace-dir``) and the ledger, calls
-    :func:`~repro.experiments.run_spec`, closes the ledger and writes
-    the engine trace; returns the report.
+    Builds the tracer (``--trace-dir``), calls
+    :func:`~repro.experiments.run_spec` — which writes the run-event
+    ledger ``<experiment>.events.jsonl`` next to the artifacts when
+    ``--artifacts-dir`` is given — and writes the engine trace;
+    returns the report.
     """
     tracer = None
     if args.trace_dir is not None:
         from .obs import Tracer
 
         tracer = Tracer()
-    ledger = _make_ledger(args, name)
-    try:
-        report = experiments.run_spec(
-            spec,
-            jobs=args.jobs,
-            cache=args.cache_dir,
-            tracer=tracer,
-            resume=args.resume,
-            reorder_window=args.reorder_window,
-            events=ledger,
-        )
-    finally:
-        if ledger is not None:
-            ledger.close()
-    if ledger is not None and ledger.path is not None:
-        print(f"[events ledger: {ledger.path}]", file=sys.stderr)
+    events = (
+        Path(args.artifacts_dir) / f"{name}.events.jsonl"
+        if args.artifacts_dir
+        else None
+    )
+    report = experiments.run_spec(
+        spec,
+        jobs=args.jobs,
+        cache=args.cache_dir,
+        tracer=tracer,
+        resume=args.resume,
+        reorder_window=args.reorder_window,
+        events=events,
+    )
+    if events is not None:
+        print(f"[events ledger: {events}]", file=sys.stderr)
     if tracer is not None:
         _write_engine_trace(args.trace_dir, name, report, tracer)
     return report
@@ -743,60 +717,35 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_stdout(text: str) -> int:
+    """Write ``text`` to stdout; exit code 0, or 1 if the reader is gone."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``): point stdout at
+        # devnull so the interpreter's exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .obs import (
-        classify_file,
-        diff_payloads,
-        merge_fleet,
-        render_diff,
-        render_fleet_report,
-        render_report,
-    )
-    from .obs.events import EventError
-    from .obs.report import ReportError
+    from .obs.report import ReportError, load_report_payload, render_report
 
     try:
-        if args.diff:
-            if len(args.files) != 2:
-                print("report: --diff takes exactly two files", file=sys.stderr)
-                return 2
-            kind_a, a = classify_file(args.files[0])
-            kind_b, b = classify_file(args.files[1])
-            diff = diff_payloads(kind_a, a, kind_b, b)
-            if args.json:
-                print(json.dumps(diff, indent=2, sort_keys=True))
-            else:
-                print(render_diff(diff))
-            return 0
-        if len(args.files) == 1 and not Path(args.files[0]).is_dir():
-            kind, payload = classify_file(args.files[0])
-            if kind != "events":
-                print(render_report(kind, payload, as_json=args.json))
-                return 0
-        # several files, a shard directory, or a lone events ledger:
-        # all render through the merged fleet view
-        merged = merge_fleet(args.files)
-        if args.json:
-            print(json.dumps(merged, indent=2, sort_keys=True))
-        else:
-            print(render_fleet_report(merged))
-        return 0
+        kind, payload = load_report_payload(args.file)
     except OSError as exc:
         print(f"report: cannot read input: {exc}", file=sys.stderr)
         return 2
-    except (ReportError, EventError) as exc:
+    except ReportError as exc:
         print(f"report: {exc}", file=sys.stderr)
         return 2
-
-
-#: Poll interval of ``repro tail --follow`` (seconds).
-TAIL_POLL_SECONDS = 0.2
+    return _write_stdout(render_report(kind, payload, as_json=args.json) + "\n")
 
 
 def _cmd_tail(args: argparse.Namespace) -> int:
-    """``repro tail``: replay or follow a run-event ledger."""
-    import time as time_mod
-
+    """``repro tail``: replay a run-event ledger."""
     from .obs.events import (
         EventError,
         canonical_ledger,
@@ -806,39 +755,16 @@ def _cmd_tail(args: argparse.Namespace) -> int:
 
     path = Path(args.file)
     try:
-        if args.canonical:
-            sys.stdout.write(canonical_ledger(read_ledger(path)))
-            return 0
-        if not args.follow:
-            for record in read_ledger(path):
-                print(render_event(record))
-            return 0
+        records = read_ledger(path)
     except OSError as exc:
         print(f"tail: cannot read {path}: {exc}", file=sys.stderr)
         return 2
     except EventError as exc:
         print(f"tail: {exc}", file=sys.stderr)
         return 2
-    # --follow: stream records as the writer appends them
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            while True:
-                line = handle.readline()
-                if not line:
-                    time_mod.sleep(TAIL_POLL_SECONDS)
-                    continue
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail of an in-flight write
-                print(render_event(record), flush=True)
-    except OSError as exc:
-        print(f"tail: cannot read {path}: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        return 0
+    if args.canonical:
+        return _write_stdout(canonical_ledger(records))
+    return _write_stdout("".join(render_event(r) + "\n" for r in records))
 
 
 def _cmd_demo(_args: argparse.Namespace) -> int:
@@ -918,12 +844,6 @@ def _engine_flags() -> argparse.ArgumentParser:
         default="continuous",
         help="speed-selection policy (default: continuous, the paper's "
         "stretching); run accepts it only for policy-aware experiments",
-    )
-    engine.add_argument(
-        "--live",
-        action="store_true",
-        help="render a single-line live progress view (cells done/total, "
-        "warm-hit %%, cells/s, ETA) from the run-event stream",
     )
     return engine
 
@@ -1151,43 +1071,25 @@ def main(argv=None) -> int:
     )
     trace.set_defaults(func=_cmd_trace)
 
-    report = sub.add_parser(
-        "report",
-        help="summarise report files — several files/directories merge "
-        "into one fleet report",
-    )
+    report = sub.add_parser("report", help="summarise one report file")
     report.add_argument(
-        "files",
-        nargs="+",
-        metavar="FILE_OR_DIR",
-        help="files written by repro (Chrome trace, experiment artifact, "
-        "metrics snapshot, events.jsonl ledger) or shard directories "
-        "of them; more than one input produces a merged fleet report",
+        "file",
+        metavar="FILE",
+        help="a file written by repro: Chrome trace, experiment artifact, "
+        "metrics snapshot or events.jsonl ledger",
     )
     report.add_argument(
         "--json",
         action="store_true",
         help="emit the structured summary as JSON instead of text",
     )
-    report.add_argument(
-        "--diff",
-        action="store_true",
-        help="compare exactly two files of the same kind: cache "
-        "hit-rate, counter and stage-timing deltas",
-    )
     report.set_defaults(func=_cmd_report)
 
     tail = sub.add_parser(
         "tail",
-        help="replay or follow a run-event ledger (events.jsonl)",
+        help="replay a run-event ledger (events.jsonl)",
     )
     tail.add_argument("file", help="events.jsonl ledger written by run/chaos")
-    tail.add_argument(
-        "--follow",
-        action="store_true",
-        help="keep streaming records as the writer appends them "
-        "(Ctrl-C to stop)",
-    )
     tail.add_argument(
         "--canonical",
         action="store_true",

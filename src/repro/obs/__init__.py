@@ -1,6 +1,6 @@
 """Unified observability layer: tracing, typed metrics, exporters.
 
-Three modules, one contract:
+Five modules, one contract:
 
 * :mod:`repro.obs.trace` — :class:`Tracer` (nested spans + point
   events), :data:`NULL_TRACER`, and :class:`TracingProfiler`, the
@@ -15,10 +15,8 @@ Three modules, one contract:
   snapshots for CI ``cmp``, and the ``repro report`` renderers;
 * :mod:`repro.obs.events` — the run-event ledger (``repro.events/1``):
   a declared, drift-tested event vocabulary, the thread-safe
-  :class:`EventLedger` writer, canonicalisation for CI byte-compares,
-  and the :class:`LiveProgress` TTY view;
-* :mod:`repro.obs.fleet` — merged multi-shard fleet reports
-  (``repro.fleet/2``) and the ``repro report --diff`` comparison.
+  :class:`EventLedger` writer and canonicalisation for CI
+  byte-compares.
 
 See ``docs/observability.md`` for the span model and export formats.
 """
@@ -38,7 +36,6 @@ from .events import (
     EventError,
     EventLedger,
     EventSpec,
-    LiveProgress,
     as_ledger,
     canonical_event_names,
     canonical_ledger,
@@ -47,16 +44,6 @@ from .events import (
     events_table,
     read_ledger,
     render_event,
-)
-from .fleet import (
-    FLEET_SCHEMA,
-    classify_file,
-    diff_payloads,
-    expand_inputs,
-    merge_fleet,
-    render_diff,
-    render_fleet_report,
-    validate_fleet_report,
 )
 from .metrics import (
     VOCABULARY,
@@ -76,6 +63,7 @@ from .report import (
     load_report_payload,
     render_report,
     summarise_artifact,
+    summarise_ledger,
     summarise_trace,
 )
 from .trace import (
@@ -96,7 +84,6 @@ __all__ = [
     "EventError",
     "EventLedger",
     "EventSpec",
-    "LiveProgress",
     "as_ledger",
     "canonical_event_names",
     "canonical_ledger",
@@ -105,14 +92,6 @@ __all__ = [
     "events_table",
     "read_ledger",
     "render_event",
-    "FLEET_SCHEMA",
-    "classify_file",
-    "diff_payloads",
-    "expand_inputs",
-    "merge_fleet",
-    "render_diff",
-    "render_fleet_report",
-    "validate_fleet_report",
     "METRICS_SCHEMA",
     "chrome_trace",
     "metrics_snapshot",
@@ -135,6 +114,7 @@ __all__ = [
     "load_report_payload",
     "render_report",
     "summarise_artifact",
+    "summarise_ledger",
     "summarise_trace",
     "EVENT_COUNTERS",
     "NULL_TRACER",

@@ -10,8 +10,7 @@ CLI write through one declared vocabulary:
   (sweep lifecycle, per-cell stream progress, fault-recovery
   escalations), schema :data:`EVENTS_SCHEMA`;
 * :class:`EventLedger` — the thread-safe writer: validates names and
-  fields against the declaration, write-through to the JSONL file,
-  fan-out to in-process subscribers (the ``--live`` progress view);
+  fields against the declaration, write-through to the JSONL file;
 * :func:`read_ledger` / :func:`canonical_records` /
   :func:`canonical_ledger` — the reader and the canonicalisation that
   CI ``cmp``\\ s: wall-clock and completion-order data are confined to
@@ -20,10 +19,7 @@ CLI write through one declared vocabulary:
   ``--jobs`` values, cache temperature and interrupted-then-resumed runs
   (the same discipline as the artifact ``timing`` split, PR 6);
 * :func:`events_table` — the rendered vocabulary table embedded in
-  ``docs/observability.md`` and drift-tested like the metric table;
-* :class:`LiveProgress` — a subscriber rendering a single-line TTY
-  progress view (cells done/total, warm-hit rate, throughput, ETA)
-  from the same stream.
+  ``docs/observability.md`` and drift-tested like the metric table.
 
 Canonical events carry only deterministic fields (cell keys,
 fingerprints, fault counters replayed from cached profiles);
@@ -35,22 +31,11 @@ is stripped by canonicalisation.
 from __future__ import annotations
 
 import json
-import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from threading import Lock
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    IO,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 #: Ledger schema identifier; rev on incompatible record-layout changes.
 EVENTS_SCHEMA = "repro.events/1"
@@ -140,11 +125,9 @@ class EventLedger:
         owns one ledger, so a resumed run rewrites the partial ledger
         of the interrupted one and canonicalises identically to an
         uninterrupted sweep).  ``None`` keeps the ledger in memory
-        only.
-    keep:
-        Retain records on :attr:`records` — defaults to ``True`` for
-        in-memory ledgers and ``False`` for file-backed ones (a
-        million-cell sweep must not buffer its own history).
+        only, on :attr:`records`; a file-backed ledger does not buffer
+        its records (a million-cell sweep must not hold its own
+        history).
 
     Every emission validates the event name and its canonical fields
     against :data:`EVENTS`; extra keywords land in the record's
@@ -152,16 +135,10 @@ class EventLedger:
     place wall-clock ever appears.
     """
 
-    def __init__(
-        self,
-        path: Union[None, str, Path] = None,
-        keep: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, path: Union[None, str, Path] = None) -> None:
         self.path = Path(path) if path is not None else None
-        self.keep = keep if keep is not None else self.path is None
         self.records: List[Dict[str, Any]] = []
         self.counts: Dict[str, int] = {}
-        self._subscribers: List[Callable[[Dict[str, Any]], None]] = []
         self._lock = Lock()
         self._seq = 0
         self._file: Optional[IO[str]] = None
@@ -197,17 +174,9 @@ class EventLedger:
             if self._file is not None:
                 self._file.write(json.dumps(record, sort_keys=True) + "\n")
                 self._file.flush()
-            if self.keep:
+            if self.path is None:
                 self.records.append(record)
-            subscribers = list(self._subscribers)
-        for subscriber in subscribers:
-            subscriber(record)
         return record
-
-    def subscribe(self, callback: Callable[[Dict[str, Any]], None]) -> None:
-        """Register a per-record callback (e.g. :class:`LiveProgress`)."""
-        with self._lock:
-            self._subscribers.append(callback)
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
@@ -267,17 +236,6 @@ def read_ledger(path: Union[str, Path]) -> List[Dict[str, Any]]:
     return records
 
 
-def looks_like_ledger(payload: Any) -> bool:
-    """``True`` for a parsed record list with the ledger header."""
-    return (
-        isinstance(payload, list)
-        and bool(payload)
-        and isinstance(payload[0], dict)
-        and payload[0].get("event") == "ledger.opened"
-        and payload[0].get("schema") == EVENTS_SCHEMA
-    )
-
-
 def canonical_records(records: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """The deterministic view of a ledger.
 
@@ -325,77 +283,6 @@ def render_event(record: Dict[str, Any]) -> str:
     return f"{prefix}  {record.get('event', '?'):<16} {' '.join(parts)}".rstrip()
 
 
-# ----------------------------------------------------------------------
-# Live progress
-# ----------------------------------------------------------------------
-class LiveProgress:
-    """Single-line TTY progress view over a ledger subscription.
-
-    Counts warm cells (``cell.cached``/``cell.resumed``) and streamed
-    completions (``cell.flushed``) against the total declared by
-    ``sweep.started`` and re-renders at most every ``interval`` seconds
-    (plus on every sweep boundary).
-    """
-
-    def __init__(self, stream: Optional[IO[str]] = None, interval: float = 0.1) -> None:
-        self.stream = stream if stream is not None else sys.stderr
-        self.interval = interval
-        self.total = 0
-        self.done = 0
-        self.warm = 0
-        self.experiment = ""
-        self._started = time.monotonic()
-        self._last_render = 0.0
-        self._dirty = False
-
-    def __call__(self, record: Dict[str, Any]) -> None:
-        event = record.get("event")
-        if event == "sweep.started":
-            self.experiment = str(record.get("experiment", ""))
-            self.total += int(record.get("cells", 0))
-            self._started = time.monotonic()
-        elif event in ("cell.cached", "cell.resumed"):
-            self.done += 1
-            self.warm += 1
-        elif event == "cell.flushed":
-            self.done += 1
-        elif event == "sweep.finished":
-            self.render(force=True)
-            self.stream.write("\n")
-            self.stream.flush()
-            return
-        else:
-            return
-        self._dirty = True
-        self.render()
-
-    def line(self) -> str:
-        """The rendered progress line (no carriage return)."""
-        elapsed = max(time.monotonic() - self._started, 1e-9)
-        rate = self.done / elapsed
-        remaining = max(self.total - self.done, 0)
-        eta = f"{remaining / rate:5.1f}s" if rate > 0 and self.total else "    ?"
-        pct = 100.0 * self.done / self.total if self.total else 0.0
-        warm_pct = 100.0 * self.warm / self.done if self.done else 0.0
-        return (
-            f"[{self.experiment or 'sweep'}] {self.done}/{self.total} cells "
-            f"({pct:3.0f}%)  {warm_pct:3.0f}% warm  {rate:6.1f} cells/s  "
-            f"eta {eta}"
-        )
-
-    def render(self, force: bool = False) -> None:
-        """Redraw the line, rate-limited to :attr:`interval`."""
-        now = time.monotonic()
-        if not force and now - self._last_render < self.interval:
-            return
-        if not self._dirty and not force:
-            return
-        self._last_render = now
-        self._dirty = False
-        self.stream.write("\r" + self.line() + "\x1b[K")
-        self.stream.flush()
-
-
 __all__ = [
     "EVENTS",
     "EVENTS_SCHEMA",
@@ -403,14 +290,12 @@ __all__ = [
     "EventError",
     "EventLedger",
     "EventSpec",
-    "LiveProgress",
     "as_ledger",
     "canonical_event_names",
     "canonical_ledger",
     "canonical_records",
     "event_names",
     "events_table",
-    "looks_like_ledger",
     "read_ledger",
     "render_event",
 ]

@@ -1,6 +1,6 @@
-"""Rendering for ``repro report`` — one verb, three file kinds.
+"""Rendering for ``repro report`` — one verb, four file kinds.
 
-The verb accepts any JSON file this package writes and renders a
+The verb accepts any one file this package writes and renders a
 human-readable (or ``--json`` structured) summary:
 
 * a **Chrome trace** (``repro trace … --out run.trace.json``) — top
@@ -10,7 +10,10 @@ human-readable (or ``--json`` structured) summary:
   ``repro.experiment/*`` schema revision) — cell/cache accounting plus
   the same top-stage table from the aggregated profile;
 * a **metrics snapshot** (``… --metrics-out``, schema
-  ``repro.metrics/1``) — counters, stage calls and derived metrics.
+  ``repro.metrics/1``) — counters, stage calls and derived metrics;
+* a **run-event ledger** (``<experiment>.events.jsonl``, schema
+  ``repro.events/1``) — declared, completed and warm cells plus the
+  per-event counts.
 
 Everything here consumes the *serialised* formats, not live objects, so
 a report can be produced on a different machine (or months later) from
@@ -21,8 +24,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
+from .events import EVENTS_SCHEMA, EventError, read_ledger
 from .export import METRICS_SCHEMA
 
 #: sim-time categories as exported (matches trace.SIM_CATEGORIES)
@@ -51,13 +55,29 @@ def detect_kind(payload: Any) -> str:
     )
 
 
-def load_report_payload(path: Union[str, Path]) -> Tuple[str, Dict[str, Any]]:
-    """Read a JSON file and classify it; returns ``(kind, payload)``."""
+def load_report_payload(path: Union[str, Path]) -> Tuple[str, Any]:
+    """Read one report file and classify it; returns ``(kind, payload)``.
+
+    A JSON document is classified by :func:`detect_kind`.  Anything
+    else — and a ledger holding only its ``ledger.opened`` line, which
+    parses as one JSON object — is read as a ``repro.events/1`` ledger:
+    kind ``"events"``, payload the record list.
+    """
+    path = Path(path)
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ReportError(f"not JSON: {exc}") from exc
-    return detect_kind(payload), payload
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError:
+        pass
+    else:
+        if not (isinstance(payload, dict) and "event" in payload):
+            return detect_kind(payload), payload
+    try:
+        return "events", read_ledger(path)
+    except EventError as exc:
+        raise ReportError(
+            f"{path}: neither a JSON report file nor a "
+            f"{EVENTS_SCHEMA} ledger ({exc})"
+        ) from exc
 
 
 def _format_rows(rows: List[List[str]], header: List[str]) -> str:
@@ -318,9 +338,56 @@ def render_metrics_report(payload: Mapping[str, Any]) -> str:
     return "\n".join(lines).rstrip()
 
 
-def render_report(
-    kind: str, payload: Mapping[str, Any], as_json: bool = False
-) -> str:
+# ----------------------------------------------------------------------
+# Run-event ledger reports
+# ----------------------------------------------------------------------
+def summarise_ledger(records: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
+    """Structured summary of a ``repro.events/1`` record list.
+
+    ``cells`` is the total declared by ``sweep.started``, ``completed``
+    the ``cell.completed`` count and ``warm`` the cells served from a
+    warm cache (``cell.cached`` + ``cell.resumed``).
+    """
+    experiments: List[str] = []
+    declared = 0
+    counts: Dict[str, int] = {}
+    for record in records:
+        event = str(record.get("event", "?"))
+        counts[event] = counts.get(event, 0) + 1
+        if event == "sweep.started":
+            declared += int(record.get("cells", 0))
+            name = str(record.get("experiment", "?"))
+            if name not in experiments:
+                experiments.append(name)
+    return {
+        "experiments": experiments,
+        "cells": declared,
+        "completed": counts.get("cell.completed", 0),
+        "warm": counts.get("cell.cached", 0) + counts.get("cell.resumed", 0),
+        "events": dict(sorted(counts.items())),
+    }
+
+
+def render_ledger_report(records: Sequence[Mapping[str, Any]]) -> str:
+    """Text report of a run-event ledger."""
+    summary = summarise_ledger(records)
+    title = f"ledger report — {', '.join(summary['experiments']) or '?'}"
+    lines = [
+        title,
+        "=" * len(title),
+        "",
+        f"cells: {summary['cells']}   completed: {summary['completed']}   "
+        f"warm: {summary['warm']}",
+        "",
+        "events:",
+    ]
+    width = max(len(n) for n in summary["events"])
+    for name, count in summary["events"].items():
+        lines.append(f"  {name:<{width}}  {count}")
+    return "\n".join(lines)
+
+
+def render_report(kind: str, payload: Any, as_json: bool = False) -> str:
     """Dispatch to the right renderer; ``as_json`` returns the summary
     as indented JSON instead of text."""
     if kind == "trace":
@@ -335,4 +402,8 @@ def render_report(
         if as_json:
             return json.dumps(dict(payload), indent=2, sort_keys=True)
         return render_metrics_report(payload)
+    if kind == "events":
+        if as_json:
+            return json.dumps(summarise_ledger(payload), indent=2, sort_keys=True)
+        return render_ledger_report(payload)
     raise ReportError(f"unknown report kind {kind!r}")

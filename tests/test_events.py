@@ -1,10 +1,8 @@
 """Tests for the run-event ledger (``repro.events/1``): the declared
 vocabulary, the :class:`EventLedger` writer, canonicalisation (the
 byte-identity CI ``cmp``\\ s across jobs/resume), the engine's
-emission sequence, the ``repro tail`` renderer and the ``--live``
-progress view."""
+emission sequence and the ``repro tail`` renderer."""
 
-import io
 import json
 from pathlib import Path
 
@@ -17,7 +15,6 @@ from repro.obs import (
     EVENTS_SCHEMA,
     EventError,
     EventLedger,
-    LiveProgress,
     as_ledger,
     canonical_event_names,
     canonical_ledger,
@@ -27,7 +24,6 @@ from repro.obs import (
     read_ledger,
     render_event,
 )
-from repro.obs.events import EVENT_SPECS, looks_like_ledger
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -114,13 +110,6 @@ class TestEventLedger:
         assert [r["seq"] for r in ledger.records] == [0, 1, 2]
         assert ledger.counts["cell.cached"] == 2
 
-    def test_subscribers_see_records(self):
-        ledger = EventLedger()
-        seen = []
-        ledger.subscribe(seen.append)
-        ledger.emit("cell.flushed", key="k")
-        assert [r["event"] for r in seen] == ["cell.flushed"]
-
     def test_file_backed_write_through(self, tmp_path):
         path = tmp_path / "events.jsonl"
         with EventLedger(path=path) as ledger:
@@ -169,13 +158,6 @@ class TestReadLedger:
         path.write_text("")
         with pytest.raises(EventError, match="empty ledger"):
             read_ledger(path)
-
-    def test_looks_like_ledger(self):
-        good = [{"event": "ledger.opened", "schema": EVENTS_SCHEMA}]
-        assert looks_like_ledger(good)
-        assert not looks_like_ledger([])
-        assert not looks_like_ledger({"schema": EVENTS_SCHEMA})
-        assert not looks_like_ledger([{"event": "cell.cached"}])
 
 
 class TestCanonicalisation:
@@ -308,40 +290,3 @@ class TestRenderEvent:
     def test_tolerates_unknown_event(self):
         assert "mystery" in render_event({"event": "mystery"})
 
-
-class TestLiveProgress:
-    def _feed(self, progress, *events):
-        for event in events:
-            progress(event)
-
-    def test_counts_and_line(self):
-        stream = io.StringIO()
-        progress = LiveProgress(stream=stream, interval=0.0)
-        self._feed(
-            progress,
-            {"event": "sweep.started", "experiment": "t", "cells": 4},
-            {"event": "cell.cached", "key": "a"},
-            {"event": "cell.flushed", "key": "b"},
-        )
-        line = progress.line()
-        assert "[t] 2/4 cells" in line
-        assert " 50% warm" in line
-        assert progress.warm == 1
-
-    def test_sweep_finished_ends_the_line(self):
-        stream = io.StringIO()
-        progress = LiveProgress(stream=stream, interval=0.0)
-        self._feed(
-            progress,
-            {"event": "sweep.started", "experiment": "t", "cells": 1},
-            {"event": "cell.flushed", "key": "a"},
-            {"event": "sweep.finished", "experiment": "t", "cells": 1},
-        )
-        assert stream.getvalue().endswith("\n")
-
-    def test_subscribes_to_a_real_ledger(self):
-        stream = io.StringIO()
-        ledger = EventLedger()
-        ledger.subscribe(LiveProgress(stream=stream, interval=0.0))
-        run_spec(_spec(), jobs=1, events=ledger)
-        assert "3/3 cells" in stream.getvalue()
