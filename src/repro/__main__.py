@@ -73,6 +73,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -654,6 +655,20 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .sim import empirical_distribution, run_adaptive, run_faulted
     from .workloads import drifting_trace
 
+    if not 1 <= args.train < args.length:
+        print(
+            f"trace: need 1 <= --train < --length "
+            f"(got --train {args.train}, --length {args.length})",
+            file=sys.stderr,
+        )
+        return 2
+    if not 1.0 <= args.deadline_factor < math.inf:  # also rejects NaN
+        print(
+            f"trace: --deadline-factor must be finite and at least 1.0 "
+            f"(got {args.deadline_factor})",
+            file=sys.stderr,
+        )
+        return 2
     name = args.workload
     ctg = getattr(workloads_mod, f"{name}_ctg")()
     platform = getattr(workloads_mod, f"{name}_platform")()

@@ -1,15 +1,17 @@
-"""Unified observability layer: tracing, typed metrics, exporters.
+"""Unified observability layer: tracing, declared metrics, exporters.
 
 Five modules, one contract:
 
 * :mod:`repro.obs.trace` — :class:`Tracer` (nested spans + point
-  events), :data:`NULL_TRACER`, and :class:`TracingProfiler`, the
-  drop-in :class:`~repro.profiling.StageProfiler` that feeds a tracer
-  while keeping the aggregate ``profile`` dicts bit-for-bit identical;
+  events) and :data:`NULL_TRACER`.  A run is traced by building its
+  profiler as ``StageProfiler(tracer=tracer)``
+  (:class:`repro.profiling.StageProfiler`): the one in-process
+  recorder then feeds the tracer while its aggregate ``profile`` dicts
+  stay bit-for-bit what an untraced run produces;
 * :mod:`repro.obs.metrics` — the declared metric vocabulary
-  (:data:`VOCABULARY`), :class:`MetricsRegistry` with typed
-  counter/gauge/histogram instruments, and the drift-test helpers
-  (:func:`vocabulary_table`, :func:`emitted_names`);
+  (:data:`VOCABULARY`) and its name check, the plain-dict
+  ``run.*`` metrics of :func:`derive_run_metrics`, and the drift-test
+  helpers (:func:`vocabulary_table`, :func:`emitted_names`);
 * :mod:`repro.obs.export` / :mod:`repro.obs.report` — Chrome
   trace-event JSON for Perfetto, byte-stable canonical metrics
   snapshots for CI ``cmp``, and the ``repro report`` renderers;
@@ -47,12 +49,9 @@ from .events import (
 )
 from .metrics import (
     VOCABULARY,
-    MetricError,
     MetricKind,
     MetricSpec,
-    MetricsRegistry,
     declared_names,
-    default_registry,
     derive_run_metrics,
     emitted_names,
     vocabulary_table,
@@ -67,14 +66,12 @@ from .report import (
     summarise_trace,
 )
 from .trace import (
-    EVENT_COUNTERS,
     NULL_TRACER,
     SIM_CATEGORIES,
     WALL_TRACK,
     Span,
     TraceEvent,
     Tracer,
-    TracingProfiler,
     as_tracer,
 )
 
@@ -100,12 +97,9 @@ __all__ = [
     "write_chrome_trace",
     "write_metrics_snapshot",
     "VOCABULARY",
-    "MetricError",
     "MetricKind",
     "MetricSpec",
-    "MetricsRegistry",
     "declared_names",
-    "default_registry",
     "derive_run_metrics",
     "emitted_names",
     "vocabulary_table",
@@ -116,13 +110,11 @@ __all__ = [
     "summarise_artifact",
     "summarise_ledger",
     "summarise_trace",
-    "EVENT_COUNTERS",
     "NULL_TRACER",
     "SIM_CATEGORIES",
     "WALL_TRACK",
     "Span",
     "TraceEvent",
     "Tracer",
-    "TracingProfiler",
     "as_tracer",
 ]

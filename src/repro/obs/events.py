@@ -214,8 +214,12 @@ def as_ledger(
 # ----------------------------------------------------------------------
 def read_ledger(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Parse an ``events.jsonl`` file, validating the schema header."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EventError(f"{path}: not UTF-8 text ({exc})") from exc
     records: List[Dict[str, Any]] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:

@@ -35,7 +35,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from .metrics import MetricsRegistry, default_registry
+from .metrics import WALL_CLOCK_NAMES, warn_undeclared
 from .trace import SIM_CATEGORIES, WALL_TRACK, Tracer
 
 #: Schema tag of metrics snapshots.
@@ -177,9 +177,8 @@ def write_chrome_trace(
 def metrics_snapshot(
     profile: Any = None,
     tracer: Optional[Tracer] = None,
-    derived: Optional[MetricsRegistry] = None,
+    derived: Optional[Mapping[str, Any]] = None,
     canonical: bool = False,
-    registry: Optional[MetricsRegistry] = None,
     source: str = "",
 ) -> Dict[str, Any]:
     """One JSON-ready snapshot of everything a run measured.
@@ -194,23 +193,22 @@ def metrics_snapshot(
         Contributes span and event *occurrence counts* (deterministic)
         — never timestamps.
     derived:
-        A :class:`MetricsRegistry` of ``run.*`` instruments (see
-        :func:`repro.obs.metrics.derive_run_metrics`).
+        The ``{name: value}`` ``run.*`` metrics of
+        :func:`repro.obs.metrics.derive_run_metrics`.
     canonical:
         Drop every wall-clock-derived value so the
         :func:`canonical_json` rendering is byte-stable across runs
         and worker counts.
-    registry:
-        Vocabulary to validate emitted names against (default: the
-        package vocabulary; its ``check`` flag picks raise-vs-warn).
+    source:
+        Named in the :class:`UserWarning` raised for stage, counter or
+        event names the vocabulary does not declare.
     """
-    reg = registry if registry is not None else default_registry()
     snapshot: Dict[str, Any] = {
         "schema": METRICS_SCHEMA,
         "canonical": bool(canonical),
     }
     if profile is not None:
-        reg.validate(
+        warn_undeclared(
             list(profile.counters) + list(profile.calls),
             source=source or "profile",
         )
@@ -225,13 +223,13 @@ def metrics_snapshot(
             s.name for s in tracer.spans if s.category == "stage"
         }
         event_names = {e.name for e in tracer.events}
-        reg.validate(stage_names | event_names, source=source or "tracer")
+        warn_undeclared(stage_names | event_names, source=source or "tracer")
     if derived is not None:
-        values = derived.snapshot()
-        if canonical:
-            excluded = derived.wall_clock_names()
-            values = {k: v for k, v in values.items() if k not in excluded}
-        snapshot["derived"] = values
+        snapshot["derived"] = {
+            name: value
+            for name, value in derived.items()
+            if not (canonical and name in WALL_CLOCK_NAMES)
+        }
     return snapshot
 
 

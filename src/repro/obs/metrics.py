@@ -1,27 +1,28 @@
-"""Typed metric registry and the declared stage/counter vocabulary.
+"""The declared stage/counter vocabulary and the derived run metrics.
 
 Until this layer existed, the stage and counter names threaded through
 the package lived only in a docstring table in :mod:`repro.profiling` —
 nothing stopped a call site from emitting ``path_cache.hti`` and
 silently reporting zeros forever.  This module makes the vocabulary a
-*declared registry*:
+*declaration*:
 
 * :data:`VOCABULARY` — one :class:`MetricSpec` per stage timer, event
   counter, point event and derived per-run metric the package emits;
-* :class:`MetricsRegistry` — typed counter/gauge/histogram instruments
-  with label sets, validating every name against the declaration
-  (unknown names raise under ``check=True``, warn otherwise);
+* :func:`warn_undeclared` — the one check of emitted names against the
+  declaration: unknown names raise a :class:`UserWarning` (runs keep
+  going, but the drift is visible);
 * :func:`vocabulary_table` — the rendered name table; the table in
   ``repro/profiling.py``'s docstring and in ``docs/observability.md``
   is generated from it and drift-tested (the docstring can no longer
   diverge from the code);
 * :func:`emitted_names` — an AST sweep over a source tree collecting
   every name literal passed to ``.stage(...)`` / ``.count(...)`` /
-  ``.event(...)`` / instrument constructors, so the drift test can
-  assert *emitted ⊆ declared* without running anything;
+  ``.event(...)``, so the drift test can assert *emitted ⊆ declared*
+  without running anything;
 * :func:`derive_run_metrics` — the per-run derived metrics (re-schedule
   latency percentiles, energy per instance, recovery rate) computed
-  from a :class:`~repro.sim.runner.RunResult` and its tracer.
+  from a :class:`~repro.sim.runner.RunResult` and its tracer, as a
+  plain ``{name: value}`` dict.
 
 Dynamic names — simulated task spans (named after tasks), link tracks,
 ``cell:<key>`` engine spans — are intentionally *outside* the
@@ -32,10 +33,10 @@ means silent data loss.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 from warnings import warn
 
 
@@ -142,10 +143,6 @@ VOCABULARY: Tuple[MetricSpec, ...] = (
 )
 
 
-class MetricError(ValueError):
-    """An undeclared or wrongly-typed metric name was used."""
-
-
 def _percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile (deterministic, no interpolation)."""
     if not values:
@@ -155,195 +152,42 @@ def _percentile(values: Sequence[float], q: float) -> float:
     return ordered[rank]
 
 
-def _label_key(labels: Mapping[str, Any]) -> Tuple[Tuple[str, str], ...]:
-    """Canonical hashable form of a label set."""
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-def _labelled(values: Mapping[Tuple[Tuple[str, str], ...], Any]) -> Any:
-    """JSON-ready view: unlabelled single series collapses to its value."""
-    if set(values) == {()}:
-        return values[()]
+def histogram_summary(values: Iterable[float]) -> Dict[str, float]:
+    """The exported ``count/p50/p95/max/sum`` summary of a distribution."""
+    values = [float(v) for v in values]
+    if not values:
+        return {"count": 0, "p50": 0.0, "p95": 0.0, "max": 0.0, "sum": 0.0}
     return {
-        "|".join(f"{k}={v}" for k, v in key): value
-        for key, value in sorted(values.items())
+        "count": len(values),
+        "p50": _percentile(values, 0.50),
+        "p95": _percentile(values, 0.95),
+        "max": max(values),
+        "sum": sum(values),
     }
-
-
-@dataclass
-class Counter:
-    """Accumulating integer instrument with label sets."""
-
-    spec: MetricSpec
-    values: Dict[Tuple[Tuple[str, str], ...], int] = field(default_factory=dict)
-
-    def inc(self, amount: int = 1, **labels: Any) -> None:
-        """Add ``amount`` to the series selected by ``labels``."""
-        key = _label_key(labels)
-        self.values[key] = self.values.get(key, 0) + int(amount)
-
-    def snapshot(self) -> Any:
-        """JSON-ready value(s)."""
-        return _labelled(self.values)
-
-
-@dataclass
-class Gauge:
-    """Last-write-wins scalar instrument with label sets."""
-
-    spec: MetricSpec
-    values: Dict[Tuple[Tuple[str, str], ...], float] = field(default_factory=dict)
-
-    def set(self, value: float, **labels: Any) -> None:
-        """Overwrite the series selected by ``labels``."""
-        self.values[_label_key(labels)] = float(value)
-
-    def snapshot(self) -> Any:
-        """JSON-ready value(s)."""
-        return _labelled(self.values)
-
-
-@dataclass
-class Histogram:
-    """Value-distribution instrument summarised as count/p50/p95/max."""
-
-    spec: MetricSpec
-    values: Dict[Tuple[Tuple[str, str], ...], List[float]] = field(default_factory=dict)
-
-    def observe(self, value: float, **labels: Any) -> None:
-        """Record one observation into the series selected by ``labels``."""
-        self.values.setdefault(_label_key(labels), []).append(float(value))
-
-    def observe_many(self, values: Iterable[float], **labels: Any) -> None:
-        """Record many observations at once."""
-        self.values.setdefault(_label_key(labels), []).extend(
-            float(v) for v in values
-        )
-
-    @staticmethod
-    def summarise(values: Sequence[float]) -> Dict[str, float]:
-        """The exported summary of one series."""
-        if not values:
-            return {"count": 0, "p50": 0.0, "p95": 0.0, "max": 0.0, "sum": 0.0}
-        return {
-            "count": len(values),
-            "p50": _percentile(values, 0.50),
-            "p95": _percentile(values, 0.95),
-            "max": max(values),
-            "sum": sum(values),
-        }
-
-    def snapshot(self) -> Any:
-        """JSON-ready summary per label set."""
-        return _labelled({k: self.summarise(v) for k, v in self.values.items()})
-
-
-class MetricsRegistry:
-    """Declared-vocabulary metric store.
-
-    ``check`` selects the failure mode for undeclared names: ``True``
-    raises :class:`MetricError` (tests, CI), ``False`` emits a
-    :class:`UserWarning` and otherwise accepts the name (production
-    runs keep going, but the drift is visible).
-    """
-
-    def __init__(
-        self, specs: Iterable[MetricSpec] = VOCABULARY, check: bool = False
-    ) -> None:
-        self.check = check
-        self._specs: Dict[str, MetricSpec] = {}
-        self._instruments: Dict[str, Any] = {}
-        for spec in specs:
-            self.declare(spec)
-
-    # -- declaration -----------------------------------------------------
-    def declare(self, spec: MetricSpec) -> MetricSpec:
-        """Add one declaration (idempotent; conflicting kinds raise)."""
-        existing = self._specs.get(spec.name)
-        if existing is not None and existing.kind is not spec.kind:
-            raise MetricError(
-                f"metric {spec.name!r} re-declared as {spec.kind.value}, "
-                f"was {existing.kind.value}"
-            )
-        self._specs[spec.name] = spec
-        return spec
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        """Declared names, sorted."""
-        return tuple(sorted(self._specs))
-
-    def spec(self, name: str) -> Optional[MetricSpec]:
-        """The declaration of a name (``None`` when undeclared)."""
-        return self._specs.get(name)
-
-    def validate(self, names: Iterable[str], source: str = "") -> List[str]:
-        """Check names against the declaration; returns the unknowns.
-
-        Raises under ``check=True``, warns otherwise.
-        """
-        unknown = sorted(set(names) - set(self._specs))
-        if unknown:
-            where = f" (from {source})" if source else ""
-            message = f"undeclared metric name(s){where}: {', '.join(unknown)}"
-            if self.check:
-                raise MetricError(message)
-            warn(message, stacklevel=2)
-        return unknown
-
-    # -- typed instruments ----------------------------------------------
-    def _instrument(self, name: str, kind: MetricKind, factory: Any) -> Any:
-        spec = self._specs.get(name)
-        if spec is None:
-            self.validate([name], source=f"{kind.value} instrument")
-            spec = self.declare(MetricSpec(name, kind, "(undeclared)"))
-        elif spec.kind is not kind:
-            raise MetricError(
-                f"metric {name!r} is declared as a {spec.kind.value}, "
-                f"not a {kind.value}"
-            )
-        instrument = self._instruments.get(name)
-        if instrument is None:
-            instrument = factory(spec)
-            self._instruments[name] = instrument
-        return instrument
-
-    def counter(self, name: str) -> Counter:
-        """The (lazily created) counter instrument for a declared name."""
-        return self._instrument(name, MetricKind.COUNTER, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge instrument for a declared name."""
-        return self._instrument(name, MetricKind.GAUGE, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        """The histogram instrument for a declared name."""
-        return self._instrument(name, MetricKind.HISTOGRAM, Histogram)
-
-    # -- export ----------------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-ready ``{name: value}`` of every touched instrument."""
-        return {
-            name: instrument.snapshot()
-            for name, instrument in sorted(self._instruments.items())
-        }
-
-    def wall_clock_names(self) -> Set[str]:
-        """Names whose values are wall-clock-derived (excluded from the
-        canonical snapshot; see :func:`repro.obs.export.metrics_snapshot`)."""
-        return {
-            spec.name for spec in self._specs.values() if spec.unit == "s"
-        }
-
-
-def default_registry(check: bool = False) -> MetricsRegistry:
-    """A fresh registry pre-loaded with :data:`VOCABULARY`."""
-    return MetricsRegistry(VOCABULARY, check=check)
 
 
 def declared_names() -> Set[str]:
     """The set of declared metric names."""
     return {spec.name for spec in VOCABULARY}
+
+
+#: Declared names whose values are wall-clock seconds — excluded from
+#: the canonical snapshot (see :func:`repro.obs.export.metrics_snapshot`).
+WALL_CLOCK_NAMES: FrozenSet[str] = frozenset(
+    spec.name for spec in VOCABULARY if spec.unit == "s"
+)
+
+
+def warn_undeclared(names: Iterable[str], source: str = "") -> List[str]:
+    """Check names against :data:`VOCABULARY`; returns the unknowns.
+
+    Unknown names raise a :class:`UserWarning` naming ``source``.
+    """
+    unknown = sorted(set(names) - declared_names())
+    if unknown:
+        where = f" (from {source})" if source else ""
+        warn(f"undeclared metric name(s){where}: {', '.join(unknown)}", stacklevel=2)
+    return unknown
 
 
 # ----------------------------------------------------------------------
@@ -370,9 +214,7 @@ def vocabulary_table() -> str:
 # Static emission sweep (the other half of the drift test)
 # ----------------------------------------------------------------------
 #: Method names whose first string-literal argument is a metric name.
-_EMITTING_METHODS = frozenset(
-    {"stage", "count", "event", "counter", "gauge", "histogram"}
-)
+_EMITTING_METHODS = frozenset({"stage", "count", "event"})
 
 
 def emitted_names(*roots: Any) -> Set[str]:
@@ -380,10 +222,10 @@ def emitted_names(*roots: Any) -> Set[str]:
 
     Walks the Python files, collecting the first positional string
     literal of every ``<obj>.stage("…")`` / ``.count("…")`` /
-    ``.event("…")`` / ``.counter("…")`` / ``.gauge("…")`` /
-    ``.histogram("…")`` call.  Dynamic names (variables, f-strings)
-    are invisible to this sweep by design — the vocabulary governs the
-    literal namespace.
+    ``.event("…")`` call.  Dynamic names (variables, f-strings, the
+    ``run.*`` keys :func:`derive_run_metrics` writes) are invisible to
+    this sweep by design — the vocabulary governs the literal
+    namespace, and the ``run.*`` names are checked by running them.
     """
     names: Set[str] = set()
     for root in roots:
@@ -408,28 +250,28 @@ def emitted_names(*roots: Any) -> Set[str]:
 # ----------------------------------------------------------------------
 # Derived per-run metrics
 # ----------------------------------------------------------------------
-def derive_run_metrics(
-    result: Any, tracer: Any = None, registry: Optional[MetricsRegistry] = None
-) -> MetricsRegistry:
-    """Populate the ``run.*`` derived metrics from one trace replay.
+def derive_run_metrics(result: Any, tracer: Any = None) -> Dict[str, Any]:
+    """The ``run.*`` derived metrics of one trace replay, keys sorted.
 
     ``result`` is a :class:`~repro.sim.runner.RunResult`; ``tracer``
     (optional) supplies the per-call ``online`` span durations for the
-    re-schedule latency histogram.  Wall-clock metrics land in
-    instruments whose unit is seconds, which the canonical snapshot
-    excludes — everything else is deterministic.
+    re-schedule latency histogram.  Gauges are floats; histograms are
+    :func:`histogram_summary` dicts.  Wall-clock metrics are the
+    :data:`WALL_CLOCK_NAMES`, which the canonical snapshot excludes —
+    everything else is deterministic.
     """
-    reg = registry if registry is not None else default_registry()
-    reg.histogram("run.energy_per_instance").observe_many(result.energies)
-    reg.gauge("run.total_energy").set(result.total_energy)
-    reg.gauge("run.instances").set(len(result.energies))
-    reg.gauge("run.reschedule_calls").set(result.reschedule_calls)
-    reg.gauge("run.deadline_misses").set(result.deadline_misses)
+    derived: Dict[str, Any] = {
+        "run.energy_per_instance": histogram_summary(result.energies),
+        "run.total_energy": float(result.total_energy),
+        "run.instances": float(len(result.energies)),
+        "run.reschedule_calls": float(result.reschedule_calls),
+        "run.deadline_misses": float(result.deadline_misses),
+    }
     fault_log = getattr(result, "fault_log", None)
     if fault_log is not None:
-        reg.gauge("run.recovery_rate").set(fault_log.recovery_rate())
-    if tracer is not None and getattr(tracer, "enabled", False):
+        derived["run.recovery_rate"] = float(fault_log.recovery_rate())
+    if tracer is not None and tracer.enabled:
         latencies = tracer.durations("online")
         if latencies:
-            reg.histogram("run.reschedule_latency").observe_many(latencies)
-    return reg
+            derived["run.reschedule_latency"] = histogram_summary(latencies)
+    return dict(sorted(derived.items()))

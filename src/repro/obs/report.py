@@ -65,7 +65,11 @@ def load_report_payload(path: Union[str, Path]) -> Tuple[str, Any]:
     """
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ReportError(f"{path}: not UTF-8 text ({exc})") from exc
+    try:
+        payload = json.loads(text)
     except json.JSONDecodeError:
         pass
     else:

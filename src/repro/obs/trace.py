@@ -6,7 +6,7 @@ Two record types cover the whole runtime:
 
 * **spans** — named intervals with a category, a track (timeline), a
   parent (for nesting) and free-form attributes.  Scheduling stages
-  record wall-clock spans through :class:`TracingProfiler`; the
+  record wall-clock spans through a ``StageProfiler(tracer=...)``; the
   instance executor records *simulated-time* spans (one per executed
   task at its chosen DVFS speed, one per cross-PE transfer) so a run's
   Perfetto timeline shows the schedule the MPSoC actually followed;
@@ -31,14 +31,14 @@ timeline a record belongs to: ``"runtime"`` (wall clock, the default),
 Exporters map tracks to Chrome trace-event pids (see
 :mod:`repro.obs.export`).
 
-Merging
--------
-:meth:`Tracer.merge` folds another tracer's records into this one the
-way :meth:`StageProfiler.merge` folds timings: concatenation with
-parent-index remapping.  Merging is associative, and the canonical
-metrics snapshot built from a merged tracer is order-insensitive
-(property-tested), so the experiment engine can merge per-cell tracers
-in declaration order and report identically at any ``--jobs`` value.
+One tracer per run
+------------------
+A traced run records into exactly one tracer: the runners hand it to
+the :class:`~repro.profiling.StageProfiler` they thread through every
+layer (the instance executor reads it back as ``profiler.tracer``),
+and the experiment engine adds its ``cell:<key>`` spans to the tracer
+passed to ``run_spec``.  Tracers are never merged or serialised;
+exporters (:mod:`repro.obs.export`) render them directly.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional
-
-from ..profiling import StageProfiler
 
 #: Default track for wall-clock records (scheduling stages, controller
 #: events); simulated-time records name their own PE/link tracks.
@@ -64,8 +62,7 @@ class Span:
     """One closed interval on a track.
 
     ``parent`` is the index (into the owning tracer's ``spans`` list)
-    of the enclosing span on the same track, or ``-1`` at top level —
-    indices stay valid across :meth:`Tracer.merge` (they are remapped).
+    of the enclosing span on the same track, or ``-1`` at top level.
     """
 
     name: str
@@ -81,31 +78,6 @@ class Span:
         """Span length in its clock's units (never negative)."""
         return max(0.0, self.end - self.start)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready representation."""
-        return {
-            "name": self.name,
-            "category": self.category,
-            "start": self.start,
-            "end": self.end,
-            "track": self.track,
-            "parent": self.parent,
-            "attrs": dict(self.attrs),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Span":
-        """Rebuild a span from :meth:`to_dict` output."""
-        return cls(
-            name=str(payload["name"]),
-            category=str(payload.get("category", "stage")),
-            start=float(payload["start"]),
-            end=float(payload["end"]),
-            track=str(payload.get("track", WALL_TRACK)),
-            parent=int(payload.get("parent", -1)),
-            attrs=dict(payload.get("attrs") or {}),
-        )
-
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -116,27 +88,6 @@ class TraceEvent:
     category: str = "event"
     track: str = WALL_TRACK
     attrs: Mapping[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready representation."""
-        return {
-            "name": self.name,
-            "ts": self.ts,
-            "category": self.category,
-            "track": self.track,
-            "attrs": dict(self.attrs),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TraceEvent":
-        """Rebuild an event from :meth:`to_dict` output."""
-        return cls(
-            name=str(payload["name"]),
-            ts=float(payload["ts"]),
-            category=str(payload.get("category", "event")),
-            track=str(payload.get("track", WALL_TRACK)),
-            attrs=dict(payload.get("attrs") or {}),
-        )
 
 
 class Tracer:
@@ -235,27 +186,6 @@ class Tracer:
             ts += self.sim_offset
         self.events.append(TraceEvent(name, ts, category, track, dict(attrs)))
 
-    # -- composition -----------------------------------------------------
-    def merge(self, other: "Tracer") -> "Tracer":
-        """Fold another tracer's records into this one (returns self).
-
-        Parent indices of the merged spans are offset so nesting is
-        preserved; timestamps are taken verbatim (each tracer keeps its
-        own origin — exporters and snapshots never compare timestamps
-        across tracks from different sources).
-        """
-        offset = len(self.spans)
-        for span in other.spans:
-            parent = span.parent + offset if span.parent >= 0 else -1
-            self.spans.append(
-                Span(
-                    span.name, span.category, span.start, span.end,
-                    span.track, parent, span.attrs,
-                )
-            )
-        self.events.extend(other.events)
-        return self
-
     # -- views -----------------------------------------------------------
     def span_counts(self) -> Dict[str, int]:
         """Span occurrence counts keyed by ``category:name`` (sorted)."""
@@ -279,42 +209,6 @@ class Tracer:
             if s.name == name and s.category == category
         ]
 
-    def stage_profile(self) -> StageProfiler:
-        """A :class:`StageProfiler` view over the recorded stage spans.
-
-        Every ``category="stage"`` span contributes its duration to the
-        stage's timing and one call — the relationship the tentpole
-        inverts: the profiler's aggregate *is* a projection of the
-        trace.  (Counters are not recoverable from spans; live runs use
-        :class:`TracingProfiler`, which keeps both representations.)
-        """
-        profiler = StageProfiler()
-        for span in self.spans:
-            if span.category != "stage":
-                continue
-            profiler.timings[span.name] = (
-                profiler.timings.get(span.name, 0.0) + span.duration
-            )
-            profiler.calls[span.name] = profiler.calls.get(span.name, 0) + 1
-        return profiler
-
-    # -- serialisation ---------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready representation (records only, no clock origin)."""
-        return {
-            "spans": [s.to_dict() for s in self.spans],
-            "events": [e.to_dict() for e in self.events],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Optional[Mapping[str, Any]]) -> "Tracer":
-        """Rebuild a tracer from :meth:`to_dict` output (``None`` → empty)."""
-        tracer = cls()
-        payload = payload or {}
-        tracer.spans = [Span.from_dict(s) for s in payload.get("spans", ())]
-        tracer.events = [TraceEvent.from_dict(e) for e in payload.get("events", ())]
-        return tracer
-
 
 class _NullTracer(Tracer):
     """Shared no-op sink for call sites given no tracer.
@@ -335,9 +229,6 @@ class _NullTracer(Tracer):
     def event(self, name, ts=None, category="event", track=WALL_TRACK, **attrs):  # noqa: ARG002
         pass
 
-    def merge(self, other):  # noqa: ARG002
-        return self
-
 
 #: Shared do-nothing tracer; see :func:`as_tracer`.
 NULL_TRACER = _NullTracer()
@@ -346,51 +237,3 @@ NULL_TRACER = _NullTracer()
 def as_tracer(tracer: Optional[Tracer]) -> Tracer:
     """Normalise an optional tracer to a safe-to-call instance."""
     return NULL_TRACER if tracer is None else tracer
-
-
-#: Counters whose bumps double as point events on the trace timeline
-#: (the ISSUE's "cache hit/miss" events); everything else stays a pure
-#: aggregate — re-schedule and fault events are emitted explicitly by
-#: the controller and runners with richer attributes.
-EVENT_COUNTERS = frozenset(
-    {"path_cache.hit", "path_cache.miss", "prob_cache.hit", "prob_cache.miss"}
-)
-
-
-class TracingProfiler(StageProfiler):
-    """A :class:`StageProfiler` that simultaneously feeds a tracer.
-
-    The aggregate dicts (``timings``/``calls``/``counters``) accumulate
-    exactly as in the plain profiler — ``OnlineResult.profile`` and
-    ``RunResult.profile`` are bit-for-bit what un-traced runs produce —
-    while every stage block additionally records a wall-clock span and
-    the :data:`EVENT_COUNTERS` bumps record point events.  Passing one
-    of these wherever a ``StageProfiler`` is accepted is the entire
-    wiring contract of the observability layer.
-    """
-
-    def __init__(self, tracer: Optional[Tracer] = None) -> None:
-        super().__init__()
-        self.tracer = as_tracer(tracer)
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a block into the aggregate *and* record a span."""
-        with self.tracer.span(name, category="stage"):
-            start = time.perf_counter()
-            try:
-                yield
-            finally:
-                elapsed = time.perf_counter() - start
-                self.timings[name] = self.timings.get(name, 0.0) + elapsed
-                self.calls[name] = self.calls.get(name, 0) + 1
-
-    def count(self, name: str, amount: int = 1) -> None:
-        """Bump the aggregate counter; cache counters also emit events."""
-        super().count(name, amount)
-        if name in EVENT_COUNTERS:
-            self.tracer.event(name, category="counter", amount=amount)
-
-    def event(self, name: str, **attrs: Any) -> None:
-        """Forward a point event to the tracer (see ``StageProfiler.event``)."""
-        self.tracer.event(name, **attrs)

@@ -20,7 +20,14 @@ Design constraints:
 * **mergeable** — sub-profiles (e.g. one per re-scheduling call) fold
   into a run-level aggregate with :meth:`StageProfiler.merge`;
 * **plain data** — timings/counters are ordinary dicts, trivially
-  serialisable for experiment reports.
+  serialisable for experiment reports;
+* **one recorder** — a profiler built with ``tracer=`` (a
+  :class:`repro.obs.trace.Tracer`) additionally records one wall-clock
+  span per stage block, one point event per :data:`EVENT_COUNTERS`
+  bump and every :meth:`StageProfiler.event`, while its dicts stay
+  exactly what an untraced run produces.  Untraced profilers carry
+  :data:`~repro.obs.trace.NULL_TRACER`; the untraced path pays one
+  ``tracer.enabled`` check per stage or counter bump.
 
 The stage/counter/event vocabulary is *declared* in
 :data:`repro.obs.metrics.VOCABULARY`; the table below is generated
@@ -99,6 +106,16 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional
 
+from .obs.trace import NULL_TRACER, Tracer
+
+#: Counters whose bumps double as point events on the trace timeline
+#: (cache hits and misses); everything else stays a pure aggregate —
+#: re-schedule and fault events are emitted explicitly by the
+#: controller and runners with richer attributes.
+EVENT_COUNTERS = frozenset(
+    {"path_cache.hit", "path_cache.miss", "prob_cache.hit", "prob_cache.miss"}
+)
+
 
 @dataclass
 class StageProfiler:
@@ -112,15 +129,29 @@ class StageProfiler:
         Stage name → number of times the stage was entered.
     counters:
         Counter name → accumulated count (:meth:`count`).
+    tracer:
+        Where stage spans and point events go (default
+        :data:`~repro.obs.trace.NULL_TRACER`, which drops them).  Not
+        part of the profile: :meth:`to_dict`, :meth:`from_dict`,
+        :meth:`merge` and equality ignore it.
     """
 
     timings: Dict[str, float] = field(default_factory=dict)
     calls: Dict[str, int] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
+    tracer: Tracer = field(default=NULL_TRACER, repr=False, compare=False)
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
-        """Time a ``with``-block under ``name`` (re-entrant, additive)."""
+        """Time a ``with``-block under ``name`` (re-entrant, additive).
+
+        With an enabled tracer the block is also recorded as a
+        ``category="stage"`` span, opened before the timer starts and
+        closed after the dicts are updated (on an exception too).
+        """
+        span = self.tracer.span(name, category="stage") if self.tracer.enabled else None
+        if span is not None:
+            span.__enter__()
         start = time.perf_counter()
         try:
             yield
@@ -128,18 +159,24 @@ class StageProfiler:
             elapsed = time.perf_counter() - start
             self.timings[name] = self.timings.get(name, 0.0) + elapsed
             self.calls[name] = self.calls.get(name, 0) + 1
+            if span is not None:
+                span.__exit__(None, None, None)
 
     def count(self, name: str, amount: int = 1) -> None:
-        """Bump a named counter."""
+        """Bump a named counter; traced, :data:`EVENT_COUNTERS` bumps
+        are also recorded as ``category="counter"`` events."""
         self.counters[name] = self.counters.get(name, 0) + amount
+        if self.tracer.enabled and name in EVENT_COUNTERS:
+            self.tracer.event(name, category="counter", amount=amount)
 
     def event(self, name: str, **attrs: object) -> None:
-        """Record a point event — a no-op on the aggregate profiler.
+        """Forward a point event to the tracer.
 
         Call sites emit drift/re-schedule/fault events unconditionally;
-        only :class:`repro.obs.trace.TracingProfiler` forwards them to a
-        tracer, so events never alter the ``profile`` dicts.
+        on the default :data:`~repro.obs.trace.NULL_TRACER` this is a
+        no-op, and events never alter the ``profile`` dicts.
         """
+        self.tracer.event(name, **attrs)
 
     def merge(self, other: "StageProfiler") -> None:
         """Fold another profiler's data into this one."""

@@ -31,7 +31,6 @@ from ..check.tolerances import EXACT_EPS, TIME_EPS
 from ..ctg.minterms import Scenario
 from ..faults.injectors import InstanceFaults
 from ..faults.policy import DegradationPolicy
-from ..obs.trace import Tracer, as_tracer
 from ..profiling import StageProfiler, as_profiler
 from ..scheduling.policies import SpeedPolicy, resolve_speed_policy
 from ..scheduling.schedule import Schedule
@@ -91,10 +90,12 @@ class InstanceExecutor:
     ``profiler`` (optional) accumulates the ``executor.replay`` stage
     timing and the ``executor.instances`` counter across :meth:`run`
     calls; omitted, the null profiler keeps the replay loop free of
-    instrumentation cost.  ``tracer`` (optional) additionally records
-    one simulated-time span per executed task (on its PE's track, with
-    the chosen DVFS speed) and per activated cross-PE transfer — the
-    per-instance timeline the Perfetto export renders; with the default
+    instrumentation cost.  A profiler built with a tracer
+    (``StageProfiler(tracer=...)``) additionally has each instance
+    recorded on ``profiler.tracer``: one simulated-time span per
+    executed task (on its PE's track, with the chosen DVFS speed) and
+    per activated cross-PE transfer — the per-instance timeline the
+    Perfetto export renders; with the default
     :data:`~repro.obs.trace.NULL_TRACER` the replay loop skips span
     construction entirely (``enabled`` is checked once per instance).
     ``speed_policy`` (a policy or registry name; ``None`` means
@@ -106,12 +107,11 @@ class InstanceExecutor:
         self,
         schedule: Schedule,
         profiler: Optional[StageProfiler] = None,
-        tracer: Optional[Tracer] = None,
         speed_policy: Union[None, str, SpeedPolicy] = None,
     ) -> None:
         self.schedule = schedule
         self._prof = as_profiler(profiler)
-        self._tracer = as_tracer(tracer)
+        self._tracer = self._prof.tracer
         self._policy = resolve_speed_policy(speed_policy)
         self._esc_speeds: Dict[str, float] = {}
         ctg = schedule.ctg

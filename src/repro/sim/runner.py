@@ -25,7 +25,7 @@ from ..faults.injectors import FaultInjector, rotate_label
 from ..faults.log import FaultLog, RecoveryAction
 from ..faults.plan import FaultPlan
 from ..faults.policy import DegradationPolicy
-from ..obs.trace import Tracer, TracingProfiler, as_tracer
+from ..obs.trace import Tracer, as_tracer
 from ..platform.mpsoc import Platform
 from ..profiling import StageProfiler
 from ..scheduling.online import schedule_online
@@ -54,13 +54,6 @@ class _ExecutionTimeSampler:
 
     def draw(self) -> Dict[str, float]:
         return {task: dist.sample(self._rng) for task, dist in self._profiles}
-
-
-def _run_profiler(tracer: Tracer) -> StageProfiler:
-    """The profiler a runner threads through its layers: a plain
-    :class:`StageProfiler` without tracing (identical dicts either
-    way), a :class:`TracingProfiler` feeding ``tracer`` with it."""
-    return TracingProfiler(tracer) if tracer.enabled else StageProfiler()
 
 
 def _advance_sim_offset(tracer: Tracer, ctg: ConditionalTaskGraph, finish: float) -> None:
@@ -163,7 +156,7 @@ def run_non_adaptive(
         ctg = ctg.copy()
         ctg.deadline = deadline
     trc = as_tracer(tracer)
-    stats = _run_profiler(trc)
+    stats = StageProfiler(tracer=trc)
     pol = resolve_speed_policy(speed_policy)
     sampler = (
         _ExecutionTimeSampler(platform, et_seed) if et_seed is not None else None
@@ -174,7 +167,7 @@ def run_non_adaptive(
         ctg, platform, probabilities, profiler=stats, speed_policy=pol
     )
     executor = InstanceExecutor(
-        online.schedule, profiler=stats, tracer=trc, speed_policy=pol
+        online.schedule, profiler=stats, speed_policy=pol
     )
     result = RunResult(profile=stats)
     for vector in trace:
@@ -220,7 +213,7 @@ def run_adaptive(
         ctg = ctg.copy()
         ctg.deadline = deadline
     trc = as_tracer(tracer)
-    stats = _run_profiler(trc)
+    stats = StageProfiler(tracer=trc)
     pol = resolve_speed_policy(speed_policy)
     sampler = (
         _ExecutionTimeSampler(platform, et_seed) if et_seed is not None else None
@@ -237,7 +230,7 @@ def run_adaptive(
         speed_policy=pol,
     )
     executor = InstanceExecutor(
-        controller.schedule, profiler=stats, tracer=trc, speed_policy=pol
+        controller.schedule, profiler=stats, speed_policy=pol
     )
     branches = ctg.branch_nodes()
     result = RunResult(profile=stats)
@@ -254,7 +247,7 @@ def run_adaptive(
         }
         if controller.observe(executed):
             executor = InstanceExecutor(
-                controller.schedule, profiler=stats, tracer=trc, speed_policy=pol
+                controller.schedule, profiler=stats, speed_policy=pol
             )
             if trc.enabled:
                 trc.event(
@@ -327,7 +320,7 @@ def run_faulted(
         ctg = ctg.copy()
         ctg.deadline = deadline
     trc = as_tracer(tracer)
-    stats = _run_profiler(trc)
+    stats = StageProfiler(tracer=trc)
     pol = resolve_speed_policy(speed_policy)
     controller = AdaptiveController(
         ctg,
@@ -340,7 +333,7 @@ def run_faulted(
     )
     injector = FaultInjector(plan, ctg=ctg, platform=platform)
     executor = InstanceExecutor(
-        controller.schedule, profiler=stats, tracer=trc, speed_policy=pol
+        controller.schedule, profiler=stats, speed_policy=pol
     )
     branches = ctg.branch_nodes()
     outcomes = {b: ctg.outcomes_of(b) for b in branches}
@@ -475,7 +468,7 @@ def run_faulted(
         if used_fallback:
             log.act(RecoveryAction(index, "fallback_schedule"))
         executor = InstanceExecutor(
-            controller.schedule, profiler=stats, tracer=trc, speed_policy=pol
+            controller.schedule, profiler=stats, speed_policy=pol
         )
         if trc.enabled:
             trc.event(

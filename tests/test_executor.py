@@ -4,7 +4,9 @@ import pytest
 
 from repro.ctg import figure1_ctg
 from repro.ctg.examples import two_sided_branch_ctg
+from repro.obs import Tracer
 from repro.platform import Platform, PlatformConfig, ProcessingElement, generate_platform
+from repro.profiling import StageProfiler
 from repro.scheduling import dls_schedule, schedule_online, set_deadline_from_makespan
 from repro.sim import (
     InstanceExecutor,
@@ -159,3 +161,22 @@ class TestInstanceExecutor:
         heavy = execute_instance(sched, {"fork": "h"})
         light = execute_instance(sched, {"fork": "l"})
         assert heavy.energy > light.energy
+
+
+class TestExecutorTracing:
+    """The executor traces through ``profiler.tracer``, nothing else."""
+
+    def test_traced_profiler_records_task_spans(self, fig1_schedule):
+        tracer = Tracer()
+        executor = InstanceExecutor(fig1_schedule, profiler=StageProfiler(tracer=tracer))
+        result = executor.run({"t3": "a2", "t5": "b2"})
+        tasks = [s for s in tracer.spans if s.category == "sim.task"]
+        assert sorted(s.name for s in tasks) == sorted(result.start_times)
+        assert all(s.track.startswith("pe:") and "speed" in s.attrs for s in tasks)
+        assert tracer.span_counts()["stage:executor.replay"] == 1
+
+    def test_plain_profiler_records_no_spans(self, fig1_schedule):
+        profiler = StageProfiler()
+        InstanceExecutor(fig1_schedule, profiler=profiler).run({"t3": "a2", "t5": "b2"})
+        assert profiler.counters == {"executor.instances": 1}
+        assert profiler.tracer.spans == []

@@ -3,6 +3,10 @@ verbs, ``--trace-dir`` on ``run``, and ``--profile`` on
 ``run``/``schedule``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from repro.obs import validate_chrome_trace
 from repro.platform import PlatformConfig, generate_platform
 
 FAST_TRACE = ["--length", "40", "--train", "10", "--plan", "none"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _trace(tmp_path, tag, extra=()):
@@ -69,6 +74,32 @@ class TestTraceVerb:
         code = main(["trace", "mpeg", "--out", str(out), "--plan", "nonsense"])
         assert code == 2
         assert "unknown fault plan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--train", "0"],
+            ["--length", "-5"],
+            ["--length", "10", "--train", "20"],
+            ["--length", "20", "--train", "20"],
+            ["--deadline-factor", "0.5"],
+            ["--deadline-factor", "nan"],
+            ["--deadline-factor", "inf"],
+        ],
+    )
+    def test_unrunnable_inputs_exit_2_without_traceback(self, tmp_path, argv):
+        out = tmp_path / "x.trace.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "trace", "mpeg", "--out", str(out), *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("trace: ")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_unknown_workload_is_rejected_by_argparse(self):
         with pytest.raises(SystemExit):

@@ -11,6 +11,7 @@ from repro.ctg.examples import two_sided_branch_ctg
 from repro.experiments import Cell, ExperimentSpec, run_spec
 from repro.obs import (
     METRICS_SCHEMA,
+    Span,
     Tracer,
     chrome_trace,
     derive_run_metrics,
@@ -111,10 +112,10 @@ class TestChromeTrace:
         payload = json.loads(path.read_text())
         assert validate_chrome_trace(payload) == []
         assert payload["displayTimeUnit"] == "ms"
+        bad = Tracer()
+        bad.spans.append(Span("", "stage", 0.0, 1.0))
         with pytest.raises(ValueError, match="invalid Chrome trace"):
-            write_chrome_trace(tmp_path / "bad.json", Tracer.from_dict(
-                {"spans": [{"name": "", "start": 0.0, "end": 1.0}]}
-            ))
+            write_chrome_trace(tmp_path / "bad.json", bad)
 
 
 class TestMetricsSnapshot:

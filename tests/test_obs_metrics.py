@@ -1,125 +1,54 @@
-"""Typed metric registry: declaration, validation, instruments, and
+"""Declared metric vocabulary: the name check, the rendered table and
 the derived per-run metrics."""
+
+import warnings
 
 import pytest
 
 from repro.adaptive.controller import AdaptiveConfig
 from repro.ctg.examples import two_sided_branch_ctg
+from repro.experiments.chaos import fault_plan_catalogue
 from repro.obs import Tracer, derive_run_metrics
 from repro.obs.metrics import (
-    Histogram,
-    MetricError,
-    MetricKind,
-    MetricSpec,
-    MetricsRegistry,
+    WALL_CLOCK_NAMES,
     declared_names,
-    default_registry,
+    histogram_summary,
     vocabulary_table,
+    warn_undeclared,
 )
-from repro.sim.runner import run_adaptive
+from repro.sim.runner import run_adaptive, run_faulted
 from repro.workloads.traces import drifting_trace
 
 from .test_stretching_edge_cases import uniform_platform
 
 
-class TestDeclaration:
-    def test_default_registry_knows_the_vocabulary(self):
-        reg = default_registry()
-        assert set(reg.names) == declared_names()
-        assert reg.spec("online").kind is MetricKind.TIMER
-        assert reg.spec("reschedule.calls").kind is MetricKind.COUNTER
-        assert reg.spec("no.such.metric") is None
-
-    def test_redeclaring_same_kind_is_idempotent(self):
-        reg = default_registry()
-        spec = MetricSpec("reschedule.calls", MetricKind.COUNTER, "again")
-        reg.declare(spec)
-        assert reg.spec("reschedule.calls").description == "again"
-
-    def test_redeclaring_different_kind_raises(self):
-        reg = default_registry()
-        with pytest.raises(MetricError, match="re-declared"):
-            reg.declare(MetricSpec("reschedule.calls", MetricKind.GAUGE, "bad"))
-
-
 class TestValidation:
     def test_known_names_pass_silently(self):
-        reg = default_registry(check=True)
-        assert reg.validate(["online", "dls", "reschedule.calls"]) == []
-
-    def test_unknown_names_raise_under_check(self):
-        reg = default_registry(check=True)
-        with pytest.raises(MetricError, match="path_cache.hti"):
-            reg.validate(["path_cache.hti"], source="test")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert warn_undeclared(["online", "dls", "reschedule.calls"]) == []
 
     def test_unknown_names_warn_without_check(self):
-        reg = default_registry(check=False)
-        with pytest.warns(UserWarning, match="undeclared"):
-            unknown = reg.validate(["path_cache.hti", "online"])
+        with pytest.warns(UserWarning, match=r"undeclared metric name\(s\) \(from test\): path_cache.hti"):
+            unknown = warn_undeclared(["path_cache.hti", "online"], source="test")
         assert unknown == ["path_cache.hti"]
 
 
 class TestInstruments:
-    def test_counter_accumulates(self):
-        reg = default_registry()
-        counter = reg.counter("reschedule.calls")
-        counter.inc()
-        counter.inc(3)
-        assert reg.snapshot()["reschedule.calls"] == 4
-
-    def test_instrument_is_cached_per_name(self):
-        reg = default_registry()
-        assert reg.counter("reschedule.calls") is reg.counter("reschedule.calls")
-
-    def test_kind_mismatch_raises(self):
-        reg = default_registry()
-        with pytest.raises(MetricError, match="declared as a counter"):
-            reg.gauge("reschedule.calls")
-        with pytest.raises(MetricError, match="declared as a gauge"):
-            reg.histogram("run.total_energy")
-
-    def test_undeclared_instrument_raises_under_check(self):
-        reg = default_registry(check=True)
-        with pytest.raises(MetricError, match="undeclared"):
-            reg.counter("made.up")
-
-    def test_undeclared_instrument_is_auto_declared_without_check(self):
-        reg = default_registry(check=False)
-        with pytest.warns(UserWarning):
-            counter = reg.counter("made.up")
-        counter.inc()
-        assert reg.snapshot()["made.up"] == 1
-
-    def test_gauge_is_last_write_wins(self):
-        reg = default_registry()
-        gauge = reg.gauge("run.total_energy")
-        gauge.set(1.0)
-        gauge.set(2.5)
-        assert reg.snapshot()["run.total_energy"] == 2.5
-
-    def test_labelled_series_key_by_sorted_labels(self):
-        reg = default_registry()
-        counter = reg.counter("reschedule.calls")
-        counter.inc(2, policy="default", workload="mpeg")
-        counter.inc(1, workload="mpeg", policy="default")  # same series
-        counter.inc(5, workload="cruise", policy="default")
-        snap = reg.snapshot()["reschedule.calls"]
-        assert snap["policy=default|workload=mpeg"] == 3
-        assert snap["policy=default|workload=cruise"] == 5
-
     def test_histogram_summary_is_deterministic(self):
-        summary = Histogram.summarise([3.0, 1.0, 2.0, 4.0])
+        summary = histogram_summary([3.0, 1.0, 2.0, 4.0])
         assert summary == {"count": 4, "p50": 3.0, "p95": 4.0, "max": 4.0, "sum": 10.0}
-        assert Histogram.summarise([]) == {
+        assert histogram_summary([]) == {
             "count": 0, "p50": 0.0, "p95": 0.0, "max": 0.0, "sum": 0.0,
         }
 
     def test_wall_clock_names_are_the_seconds_metrics(self):
-        names = default_registry().wall_clock_names()
+        names = WALL_CLOCK_NAMES
         assert "online" in names
         assert "run.reschedule_latency" in names
         assert "run.total_energy" not in names
         assert "reschedule.calls" not in names
+        assert names <= declared_names()
 
 
 class TestVocabularyTable:
@@ -151,7 +80,7 @@ class TestDerivedRunMetrics:
 
     def test_gauges_mirror_the_result(self, run):
         result, tracer = run
-        snap = derive_run_metrics(result, tracer=tracer).snapshot()
+        snap = derive_run_metrics(result, tracer=tracer)
         assert snap["run.total_energy"] == pytest.approx(result.total_energy)
         assert snap["run.instances"] == len(result.energies)
         assert snap["run.reschedule_calls"] == result.reschedule_calls
@@ -159,15 +88,15 @@ class TestDerivedRunMetrics:
 
     def test_energy_histogram_covers_every_instance(self, run):
         result, tracer = run
-        snap = derive_run_metrics(result, tracer=tracer).snapshot()
+        snap = derive_run_metrics(result, tracer=tracer)
         hist = snap["run.energy_per_instance"]
         assert hist["count"] == len(result.energies)
         assert hist["sum"] == pytest.approx(result.total_energy)
 
     def test_latency_histogram_needs_an_enabled_tracer(self, run):
         result, tracer = run
-        with_tracer = derive_run_metrics(result, tracer=tracer).snapshot()
-        without = derive_run_metrics(result).snapshot()
+        with_tracer = derive_run_metrics(result, tracer=tracer)
+        without = derive_run_metrics(result)
         assert with_tracer["run.reschedule_latency"]["count"] == (
             result.profile.calls["online"]
         )
@@ -175,5 +104,34 @@ class TestDerivedRunMetrics:
 
     def test_recovery_rate_only_on_faulted_results(self, run):
         result, _ = run
-        snap = derive_run_metrics(result).snapshot()
+        snap = derive_run_metrics(result)
         assert "run.recovery_rate" not in snap
+
+    def test_faulted_run_metrics_are_plain_sorted_floats(self):
+        ctg = two_sided_branch_ctg()
+        ctg.deadline = 60.0
+        platform = uniform_platform(ctg, pes=1)
+        trace = drifting_trace(ctg, 12, seed=3)
+        result = run_faulted(
+            ctg, platform, trace, ctg.default_probabilities,
+            fault_plan_catalogue()["overrun"],
+            config=AdaptiveConfig(window_size=4, threshold=0.05),
+        )
+        derived = derive_run_metrics(result)
+        assert list(derived) == [
+            "run.deadline_misses",
+            "run.energy_per_instance",
+            "run.instances",
+            "run.recovery_rate",
+            "run.reschedule_calls",
+            "run.total_energy",
+        ]
+        for name in ("run.deadline_misses", "run.instances", "run.recovery_rate",
+                     "run.reschedule_calls", "run.total_energy"):
+            assert type(derived[name]) is float, name
+        assert derived["run.instances"] == 12.0
+        assert derived["run.reschedule_calls"] == float(result.reschedule_calls)
+        assert derived["run.recovery_rate"] == result.fault_log.recovery_rate()
+        hist = derived["run.energy_per_instance"]
+        assert list(hist) == ["count", "p50", "p95", "max", "sum"]
+        assert hist["count"] == 12

@@ -4,8 +4,6 @@ Randomly generated span programs and tracers must satisfy:
 
 * spans are well-nested per track (parents precede and contain their
   children, sibling order follows close order);
-* ``merge`` is associative on the observable counts, and the canonical
-  metrics snapshot of a merged tracer is insensitive to merge order;
 * the Chrome trace export round-trips through JSON and always passes
   the schema validator (``ph:"X"`` records carry ``ts`` + ``dur``).
 """
@@ -15,8 +13,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.io import canonical_json
-from repro.obs import Tracer, chrome_trace, metrics_snapshot, validate_chrome_trace
+from repro.obs import Tracer, chrome_trace, validate_chrome_trace
 
 # -- strategies --------------------------------------------------------
 names = st.sampled_from(["online", "dls", "stretch", "check", "stretch.sweep"])
@@ -84,53 +81,6 @@ def test_span_count_matches_program_size(forest):
         return 1 + sum(size(child) for child in node[1])
 
     assert len(tracer.spans) == sum(size(tree) for tree in forest)
-
-
-@settings(max_examples=50, deadline=None)
-@given(forest=span_forests)
-def test_stage_profile_projection_counts_every_span(forest):
-    tracer = Tracer()
-    for tree in forest:
-        _execute(tracer, tree, "runtime")
-    profile = tracer.stage_profile()
-    assert sum(profile.calls.values()) == len(tracer.spans)
-
-
-# -- merge -------------------------------------------------------------
-@settings(max_examples=30, deadline=None)
-@given(parts=st.lists(tracers(), min_size=3, max_size=3))
-def test_merge_is_associative_on_counts(parts):
-    a, b, c = parts
-    left = Tracer().merge(a).merge(b).merge(c)
-    right = Tracer().merge(a).merge(Tracer().merge(b).merge(c))
-    assert left.span_counts() == right.span_counts()
-    assert left.event_counts() == right.event_counts()
-
-
-@settings(max_examples=30, deadline=None)
-@given(parts=st.lists(tracers(), min_size=2, max_size=3), seed=st.randoms())
-def test_merge_preserves_nesting_invariants(parts, seed):
-    merged = Tracer()
-    for part in parts:
-        merged.merge(part)
-    for index, span in enumerate(merged.spans):
-        assert span.parent < index
-        if span.parent >= 0:
-            assert merged.spans[span.parent].track == span.track
-
-
-@settings(max_examples=30, deadline=None)
-@given(parts=st.lists(tracers(), min_size=2, max_size=4))
-def test_canonical_snapshot_is_merge_order_insensitive(parts):
-    forward = Tracer()
-    for part in parts:
-        forward.merge(part)
-    backward = Tracer()
-    for part in reversed(parts):
-        backward.merge(part)
-    lhs = canonical_json(metrics_snapshot(tracer=forward, canonical=True))
-    rhs = canonical_json(metrics_snapshot(tracer=backward, canonical=True))
-    assert lhs == rhs
 
 
 # -- Chrome trace export ----------------------------------------------

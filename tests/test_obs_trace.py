@@ -1,25 +1,17 @@
-"""Tracing core: spans, events, merging, and — the PR's load-bearing
-guarantee — that attaching a tracer changes *nothing* about a run's
-results: ``profile`` dicts, energies and call sites are bit-for-bit
-what un-traced runs produce.  The regression class pins the profile
-contents of the MPEG/Airwolf runs to values captured *before* the
-observability layer existed.
+"""Tracing core: spans, events, the traced ``StageProfiler``, and —
+the load-bearing guarantee — that attaching a tracer changes *nothing*
+about a run's results: ``profile`` dicts, energies and call sites are
+bit-for-bit what un-traced runs produce.  The regression class pins
+the profile contents of the MPEG/Airwolf runs to values captured
+*before* the observability layer existed.
 """
 
 import pytest
 
 from repro.adaptive.controller import AdaptiveConfig
 from repro.experiments.chaos import fault_plan_catalogue
-from repro.obs import (
-    EVENT_COUNTERS,
-    NULL_TRACER,
-    Span,
-    TraceEvent,
-    Tracer,
-    TracingProfiler,
-    as_tracer,
-)
-from repro.profiling import StageProfiler
+from repro.obs import NULL_TRACER, Span, Tracer, as_tracer
+from repro.profiling import EVENT_COUNTERS, NULL_PROFILER, StageProfiler
 from repro.scheduling.online import set_deadline_from_makespan
 from repro.sim import empirical_distribution
 from repro.sim.runner import run_adaptive, run_faulted, run_non_adaptive
@@ -111,59 +103,6 @@ class TestTracerBasics:
         assert tracer.event_counts() == {"sim.fault": 1}
         assert len(tracer.durations("online")) == 2
 
-    def test_stage_profile_is_a_projection_of_stage_spans(self):
-        tracer = Tracer()
-        with tracer.span("online"):
-            with tracer.span("dls"):
-                pass
-        tracer.add_span("t", 0.0, 1.0, category="sim.task", track="pe:0")
-        view = tracer.stage_profile()
-        assert view.calls == {"online": 1, "dls": 1}
-        assert set(view.timings) == {"online", "dls"}
-
-    def test_round_trips_through_to_dict(self):
-        tracer = Tracer()
-        with tracer.span("online", mode="test"):
-            pass
-        tracer.event("sim.fault", ts=1.0, category="sim.event", kind="overrun")
-        clone = Tracer.from_dict(tracer.to_dict())
-        assert clone.spans == tracer.spans
-        assert clone.events == tracer.events
-
-    def test_span_and_event_dataclass_round_trip(self):
-        span = Span("n", "sim.task", 0.5, 1.5, track="pe:0", parent=2, attrs={"speed": 0.8})
-        assert Span.from_dict(span.to_dict()) == span
-        event = TraceEvent("e", 1.0, "sim.event", "pe:0", {"k": 1})
-        assert TraceEvent.from_dict(event.to_dict()) == event
-
-
-class TestMerge:
-    def _tracer_with(self, *names):
-        tracer = Tracer()
-        for name in names:
-            with tracer.span(name):
-                with tracer.span(name + ".inner"):
-                    pass
-        return tracer
-
-    def test_merge_remaps_parent_indices(self):
-        left = self._tracer_with("a")
-        right = self._tracer_with("b")
-        left.merge(right)
-        assert [s.parent for s in left.spans] == [-1, 0, -1, 2]
-        assert left.spans[3].name == "b.inner"
-
-    def test_merge_is_associative_on_counts(self):
-        a, b, c = (self._tracer_with(n) for n in "abc")
-        left = Tracer().merge(a).merge(b).merge(c)
-        bc = Tracer().merge(b).merge(c)
-        right = Tracer().merge(a).merge(bc)
-        assert left.span_counts() == right.span_counts()
-        assert left.event_counts() == right.event_counts()
-
-    def test_merge_returns_self(self):
-        tracer = Tracer()
-        assert tracer.merge(Tracer()) is tracer
 
 
 class TestNullTracer:
@@ -175,13 +114,6 @@ class TestNullTracer:
         assert NULL_TRACER.spans == []
         assert NULL_TRACER.events == []
 
-    def test_merge_is_a_no_op(self):
-        other = Tracer()
-        with other.span("x"):
-            pass
-        assert NULL_TRACER.merge(other) is NULL_TRACER
-        assert NULL_TRACER.spans == []
-
     def test_as_tracer_normalises(self):
         assert as_tracer(None) is NULL_TRACER
         real = Tracer()
@@ -189,43 +121,93 @@ class TestNullTracer:
 
 
 class TestTracingProfiler:
-    def test_aggregates_match_plain_profiler(self):
-        plain = StageProfiler()
-        traced = TracingProfiler(Tracer())
-        for prof in (plain, traced):
+    """``StageProfiler(tracer=...)``: one recorder, two views."""
+
+    @staticmethod
+    def _exercise(prof):
+        with prof.stage("online"):
             with prof.stage("dls"):
                 prof.count("dls.tasks_placed", 3)
+                prof.count("path_cache.hit")
+            with prof.stage("stretch"):
+                prof.count("prob_cache.miss", 2)
+        with prof.stage("online"):
+            prof.count("reschedule.calls")
+        prof.event("drift.detected", drift=0.3)
+
+    def test_aggregates_match_plain_profiler(self):
+        plain = StageProfiler()
+        traced = StageProfiler(tracer=Tracer())
+        for prof in (plain, traced):
+            self._exercise(prof)
         assert traced.calls == plain.calls
         assert traced.counters == plain.counters
+        assert set(traced.timings) == set(plain.timings)
+        # the tracer is not part of the profile
+        assert StageProfiler(tracer=Tracer()) == StageProfiler()
+        assert "tracer" not in repr(traced)
 
     def test_stage_blocks_record_spans(self):
         tracer = Tracer()
-        prof = TracingProfiler(tracer)
-        with prof.stage("online"):
-            with prof.stage("dls"):
-                pass
-        assert tracer.span_counts() == {"stage:online": 1, "stage:dls": 1}
-        assert tracer.spans[1].parent == 0
+        prof = StageProfiler(tracer=tracer)
+        self._exercise(prof)
+        assert tracer.span_counts() == {
+            "stage:dls": 1, "stage:online": 2, "stage:stretch": 1,
+        }
+        assert [s.parent for s in tracer.spans] == [-1, 0, 0, -1]
+        for span in tracer.spans:
+            assert span.category == "stage"
+        assert sum(prof.calls.values()) == len(tracer.spans)
 
     def test_cache_counters_double_as_events(self):
         tracer = Tracer()
-        prof = TracingProfiler(tracer)
+        prof = StageProfiler(tracer=tracer)
         for name in sorted(EVENT_COUNTERS):
             prof.count(name)
         prof.count("dls.tasks_placed", 5)  # not an event counter
         assert set(tracer.event_counts()) == EVENT_COUNTERS
+        assert {e.category for e in tracer.events} == {"counter"}
         assert prof.counters["dls.tasks_placed"] == 5
 
     def test_event_forwards_to_tracer(self):
         tracer = Tracer()
-        prof = TracingProfiler(tracer)
+        prof = StageProfiler(tracer=tracer)
         prof.event("drift.detected", drift=0.3)
         assert tracer.event_counts() == {"drift.detected": 1}
+        assert tracer.events[0].attrs == {"drift": 0.3}
 
     def test_plain_profiler_event_is_a_no_op(self):
         prof = StageProfiler()
+        assert prof.tracer is NULL_TRACER
+        assert NULL_PROFILER.tracer is NULL_TRACER
+        self._exercise(prof)
         prof.event("drift.detected", drift=0.3)
-        assert prof.to_dict() == StageProfiler().to_dict()
+        assert NULL_TRACER.spans == [] and NULL_TRACER.events == []
+
+    def test_exception_in_a_traced_stage_records_and_closes_the_span(self):
+        tracer = Tracer()
+        prof = StageProfiler(tracer=tracer)
+        with pytest.raises(RuntimeError):
+            with prof.stage("online"):
+                raise RuntimeError("boom")
+        assert prof.calls == {"online": 1}
+        assert prof.timings["online"] >= 0.0
+        (span,) = tracer.spans
+        assert span.end >= span.start
+        with prof.stage("dls"):
+            pass
+        assert tracer.spans[1].parent == -1  # the failed span was popped
+
+    def test_to_dict_and_from_dict_ignore_the_tracer(self):
+        prof = StageProfiler(tracer=Tracer())
+        self._exercise(prof)
+        clone = StageProfiler.from_dict(prof.to_dict())
+        assert clone == prof
+        assert clone.tracer is NULL_TRACER
+        merged = StageProfiler()
+        merged.merge(prof)
+        assert merged.tracer is NULL_TRACER
+        assert merged.counters == prof.counters
 
 
 # ----------------------------------------------------------------------

@@ -133,6 +133,13 @@ class TestReportVerb:
         assert main(["report", str(bad)]) == 2
         assert "neither a JSON report file nor a" in capsys.readouterr().err
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe\x00")
+        assert main(["report", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("report: ") and "not UTF-8" in err
+
 
 class TestLedgerReport:
     """``repro report`` on one ledger counts the cells it declares and
@@ -265,6 +272,13 @@ class TestTailVerb:
     def test_missing_file_exits_2(self, capsys):
         assert main(["tail", "no/such/events.jsonl"]) == 2
         assert capsys.readouterr().err
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.events.jsonl"
+        bad.write_bytes(b"\xff\xfe\x00")
+        assert main(["tail", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tail: ") and "not UTF-8" in err
 
 
 class TestCacheStatsJson:
