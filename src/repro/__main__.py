@@ -507,9 +507,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
+    from .ctg import CTGError
+    from .platform.mpsoc import PlatformError
     from .profiling import StageProfiler
 
-    ctg, platform, _trace = load_instance(args.instance)
+    try:
+        ctg, platform, _trace = load_instance(args.instance)
+    except (CTGError, PlatformError, OSError, ValueError) as exc:
+        print(f"schedule: cannot load {args.instance}: {exc}", file=sys.stderr)
+        return 2
     if ctg.deadline <= 0:
         set_deadline_from_makespan(ctg, platform, args.deadline_factor)
     profiler = StageProfiler() if args.profile else None

@@ -3,8 +3,9 @@
 Struct-of-arrays CTG/schedule snapshots (:mod:`~repro.batch.soa`),
 batched replay and energy kernels (:mod:`~repro.batch.kernels`)
 and the one-kernel Monte-Carlo sweep (:mod:`~repro.batch.montecarlo`).
-The object-walking implementations elsewhere in the package remain the
-executable specification; everything here is validated against them.
+The object-layer replay elsewhere in the package (the executor's walk
+of a :class:`~repro.scheduling.replay.ReplayPlan`) remains the
+reference; everything here is validated against it.
 """
 
 from .kernels import (

@@ -1,20 +1,20 @@
 """Batched numpy kernels over a :class:`~repro.batch.soa.BatchSchedule`.
 
-Two kernel families, each the array twin of the executor's scalar
-replay, which stays the executable specification:
+Two kernel families, each the array twin of the executor's replay:
 
-* :func:`scenario_finish_times` /  :func:`instance_finish_times` —
-  the replay loop of :meth:`InstanceExecutor.run
-  <repro.sim.executor.InstanceExecutor.run>`, vectorized over
-  *scenarios × instances* instead of one decision vector at a time;
+* :func:`scenario_finish_times` / :func:`instance_finish_times` —
+  the start-time rule of the schedule's
+  :class:`~repro.scheduling.replay.ReplayPlan` (the CSR arrays are
+  filled from it), vectorized over scenarios or instances instead of
+  one decision vector at a time;
 * :func:`scenario_energies` / :func:`instance_energies` — the energy
   bookkeeping of the executor (including the ``wcet_factors``
   baseline arm of ``run_faulted``: energy scales linearly with the
   realised work ratio).
 
-The object-walking implementations remain authoritative: these kernels
-are performance twins, validated against them, never the other way
-round.
+The plan's dict walk in :class:`~repro.sim.executor.InstanceExecutor`
+stays the reference: these kernels are validated against it, never the
+other way round.
 """
 
 from __future__ import annotations
@@ -29,48 +29,29 @@ from .soa import BatchSchedule
 # ----------------------------------------------------------------------
 # Instance replay
 # ----------------------------------------------------------------------
-def scenario_finish_times(
-    batch: BatchSchedule, wcet_factors: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Finish time of every scenario, optionally per instance.
+def scenario_finish_times(batch: BatchSchedule) -> np.ndarray:
+    """Makespan of every scenario at the captured speeds, ``(S,)``.
 
-    Without ``wcet_factors`` the result is ``(S,)`` — the makespan of
-    each minterm at the captured speeds (one tiny ``(1, S, T)``
-    propagation; this is the Monte-Carlo fast path, since instances
-    sharing a scenario share its finish time).  With a ``(N, T)``
-    factor matrix the result is ``(N, S)``; note the transient is
-    ``(N, S, T)`` floats, so prefer :func:`instance_finish_times` when
-    every instance already knows its scenario.
+    This is the Monte-Carlo fast path: instances sharing a scenario
+    share its finish time.
     """
     durations = batch.durations
-    if wcet_factors is None:
-        dur = durations[np.newaxis, :]
-    else:
-        dur = np.asarray(wcet_factors, dtype=float) * durations[np.newaxis, :]
-    n = dur.shape[0]
     n_scen = batch.n_scenarios
-    n_tasks = batch.n_tasks
-    finish = np.zeros((n, n_scen, n_tasks))
+    finish = np.zeros((n_scen, batch.n_tasks))
     in_ptr, dec_ptr = batch.in_ptr, batch.dec_ptr
-    for t in range(n_tasks):
-        start = np.zeros((n, n_scen))
+    for t in range(batch.n_tasks):
+        start = np.zeros(n_scen)
         for e in range(in_ptr[t], in_ptr[t + 1]):
-            mask = batch.edge_scenario[e]
-            cand = finish[:, :, batch.in_src[e]] + batch.in_delay[e]
-            start = np.where(mask[np.newaxis, :], np.maximum(start, cand), start)
+            cand = finish[:, batch.in_src[e]] + batch.in_delay[e]
+            start = np.where(batch.edge_scenario[e], np.maximum(start, cand), start)
         for k in range(dec_ptr[t], dec_ptr[t + 1]):
             b = batch.dec_src[k]
-            mask = batch.active[:, b]
-            start = np.where(
-                mask[np.newaxis, :], np.maximum(start, finish[:, :, b]), start
-            )
-        finish[:, :, t] = start + dur[:, t : t + 1]
+            start = np.where(batch.active[:, b], np.maximum(start, finish[:, b]), start)
+        finish[:, t] = start + durations[t]
     # inactive tasks were propagated too but never read through a live
     # edge; mask them out of the makespan exactly like the executor's
     # ``max(finishes.values(), default=0.0)``
-    masked = np.where(batch.active[np.newaxis, :, :], finish, 0.0)
-    out = masked.max(axis=2)
-    return out[0] if wcet_factors is None else out
+    return np.where(batch.active, finish, 0.0).max(axis=1)
 
 
 def instance_finish_times(

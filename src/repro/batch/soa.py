@@ -3,11 +3,11 @@
 The object layer (:class:`~repro.ctg.graph.ConditionalTaskGraph`,
 :class:`~repro.scheduling.schedule.Schedule`) is built for clarity: one
 Python object per task, dict lookups per edge, a fresh ``Scenario``
-walk per question.  That is the right executable specification, but it
-bounds how many *instances* per second the stack can process — the
-batch kernels in :mod:`repro.batch.kernels` evaluate thousands of
-sampled instances per numpy call, and they need the graph and the
-schedule as flat arrays, not as objects.
+walk per question.  That is the clearest form to replay one instance
+in, but it bounds how many *instances* per second the stack can
+process — the batch kernels in :mod:`repro.batch.kernels` evaluate
+thousands of sampled instances per numpy call, and they need the graph
+and the schedule as flat arrays, not as objects.
 
 :class:`BatchSchedule` is that flat form:
 
@@ -16,8 +16,8 @@ schedule as flat arrays, not as objects.
   placement-order index;
 * the **in-edge adjacency in CSR form** (``in_ptr``/``in_src`` plus
   per-edge pseudo flags, condition branch/label indices and
-  communication delays), preserving the exact edge iteration order of
-  :meth:`InstanceExecutor._run <repro.sim.executor.InstanceExecutor>`;
+  communication delays), filled from the schedule's
+  :class:`~repro.scheduling.replay.ReplayPlan` in its edge order;
 * the **scenario (minterm) tables** — per-scenario task activation,
   branch assignments, per-edge applicability, communication energy —
   and the same membership **packed into int bitmasks** per task
@@ -25,9 +25,9 @@ schedule as flat arrays, not as objects.
   oracle's ``_PathState.scenario_mask`` (for paths, see
   :meth:`PathStructure.membership_masks
   <repro.scheduling.pathcache.PathStructure.membership_masks>`);
-* the **or-node decider table** (CSR) for the paper's Example-1 rule:
-  an or-join waits for every active upstream fork that could decide
-  one of its inputs.
+* the **or-node decider table** (CSR, also from the plan) for the
+  paper's Example-1 rule: an or-join waits for every active upstream
+  fork that could decide one of its inputs.
 
 Conversion is lossless: :meth:`BatchSchedule.from_ctg` captures a
 schedule, :meth:`BatchSchedule.to_schedule` rebuilds an equivalent
@@ -47,6 +47,7 @@ import numpy as np
 
 from ..ctg.minterms import CtgAnalysis, Scenario, enumerate_scenarios
 from ..platform.mpsoc import Platform
+from ..scheduling.replay import ReplayPlan
 from ..scheduling.schedule import Placement, Schedule
 
 
@@ -60,7 +61,7 @@ class BatchSchedule:
     #: tasks in topological order — the row/column space of every array
     tasks: Tuple[str, ...]
     task_index: Dict[str, int]
-    # -- CSR in-edge adjacency (executor iteration order per task) ------
+    # -- CSR in-edge adjacency (replay-plan edge order per task) --------
     in_ptr: np.ndarray  #: (T+1,) segment starts into the edge arrays
     in_src: np.ndarray  #: (E,) source task index of each in-edge
     in_pseudo: np.ndarray  #: (E,) bool — same-PE serialisation edge
@@ -132,15 +133,15 @@ class BatchSchedule:
         """
         ctg = schedule.ctg
         platform = schedule.platform
-        real_ctg = ctg.without_pseudo_edges()
         if scenarios is None:
             if analysis is not None:
                 scenarios = analysis.scenarios
             else:
-                scenarios = enumerate_scenarios(real_ctg)
+                scenarios = enumerate_scenarios(ctg.without_pseudo_edges())
         scenarios = tuple(scenarios)
 
-        tasks = tuple(ctg.topological_order())
+        plan = ReplayPlan.of(schedule)
+        tasks = plan.order
         task_index = {task: i for i, task in enumerate(tasks)}
         branches = tuple(ctg.branch_nodes())
         branch_index = {b: i for i, b in enumerate(branches)}
@@ -149,7 +150,6 @@ class BatchSchedule:
             {label: i for i, label in enumerate(labels)} for labels in branch_labels
         ]
 
-        edge_delays = schedule.edge_delays()
         in_ptr = np.zeros(len(tasks) + 1, dtype=np.intp)
         src_rows: List[int] = []
         pseudo_rows: List[bool] = []
@@ -159,23 +159,19 @@ class BatchSchedule:
         dec_ptr = np.zeros(len(tasks) + 1, dtype=np.intp)
         dec_rows: List[int] = []
         for t, task in enumerate(tasks):
-            for src, _dst, data in ctg.in_edges(task, include_pseudo=True):
+            for src, delay, branch, label in plan.inputs[task]:
                 src_rows.append(task_index[src])
-                pseudo_rows.append(bool(data.pseudo))
-                if data.condition is None or data.pseudo:
+                pseudo_rows.append(delay is None)
+                delay_rows.append(0.0 if delay is None else delay)
+                if branch is None:
                     branch_rows.append(-1)
                     label_rows.append(-1)
                 else:
-                    b = branch_index[data.condition.branch]
+                    b = branch_index[branch]
                     branch_rows.append(b)
-                    label_rows.append(label_index[b][data.condition.label])
-                delay_rows.append(
-                    0.0 if data.pseudo else edge_delays.get((src, task), 0.0)
-                )
+                    label_rows.append(label_index[b][label])
             in_ptr[t + 1] = len(src_rows)
-            if ctg.kind(task).value == "or":
-                for branch in real_ctg.deciding_branches(task):
-                    dec_rows.append(task_index[branch])
+            dec_rows.extend(task_index[b] for b in plan.deciders.get(task, ()))
             dec_ptr[t + 1] = len(dec_rows)
 
         n_scenarios = len(scenarios)
@@ -194,8 +190,8 @@ class BatchSchedule:
 
         # Per-edge scenario applicability: the edge binds in a scenario
         # iff its source is active there and (pseudo edges aside) the
-        # scenario chose the guarding outcome — exactly the executor's
-        # per-edge test hoisted out of the replay loop.
+        # scenario chose the guarding outcome — the per-edge test of
+        # ``ReplayPlan.start`` hoisted out of the replay loop.
         n_edges = len(src_rows)
         edge_scenario = np.zeros((n_edges, n_scenarios), dtype=bool)
         src_arr = np.asarray(src_rows, dtype=np.intp)

@@ -9,17 +9,13 @@ minterm set**: for every scenario it computes the symbolic longest-path
 finish time of the scenario's activated subgraph under the schedule's
 current (stretched) speeds and compares it against the deadline.
 
-The per-scenario propagation mirrors the simulator's event semantics
-exactly (:class:`repro.sim.executor.InstanceExecutor`):
-
-* only the scenario's activated tasks execute;
-* a real edge contributes ``finish(src) + comm delay`` when taken — a
-  conditional edge is taken only when the scenario chose its outcome;
-* a pseudo edge contributes ``finish(src)`` whenever its source is
-  active (same-PE serialisation binds regardless of branch outcomes);
-* an or-node additionally waits for every *activated* upstream branch
-  fork that decides one of its inputs (paper Example 1 — until the
-  fork resolves, the node cannot know whether data must be awaited).
+The per-scenario propagation applies the start-time rule the simulator
+replays (:class:`repro.scheduling.replay.ReplayPlan`, compiled once per
+check): only the scenario's activated tasks execute, a conditional
+edge binds only when the scenario chose its outcome, pseudo edges bind
+whenever their source is active, and an or-node waits for every
+activated upstream branch fork that decides one of its inputs (paper
+Example 1).
 
 Because the worst-case propagation of :meth:`Schedule.worst_case_times`
 maximises over a superset of these arrivals, each scenario's finish is
@@ -35,6 +31,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..ctg.minterms import Scenario, enumerate_scenarios
 from ..platform.mpsoc import PlatformError
+from ..scheduling.replay import ReplayPlan
 from ..scheduling.schedule import Schedule
 from .diagnostics import Diagnostic
 from .tolerances import TIME_EPS
@@ -46,33 +43,18 @@ def scenario_finish_time(schedule: Schedule, scenario: Scenario) -> float:
     Unplaced tasks are skipped (``SCHED001`` reports them); the result
     is then a lower bound, which keeps the feasibility findings sound.
     """
-    ctg = schedule.ctg
-    real = ctg.without_pseudo_edges()
+    return _finish_time(ReplayPlan.of(schedule), schedule, scenario)
+
+
+def _finish_time(plan: ReplayPlan, schedule: Schedule, scenario: Scenario) -> float:
     decisions = scenario.product.assignment
     active = scenario.active
-    delays = schedule.edge_delays()
-
     finishes: Dict[str, float] = {}
     finish_time = 0.0
-    for task in ctg.topological_order():
+    for task in plan.order:
         if task not in active or task not in schedule.placements:
             continue
-        start = 0.0
-        for src, _dst, data in ctg.in_edges(task, include_pseudo=True):
-            if src not in active or src not in finishes:
-                continue
-            if data.pseudo:
-                start = max(start, finishes[src])
-                continue
-            if data.condition is not None and (
-                decisions.get(data.condition.branch) != data.condition.label
-            ):
-                continue
-            start = max(start, finishes[src] + delays.get((src, task), 0.0))
-        if ctg.kind(task).value == "or":
-            for branch in real.deciding_branches(task):
-                if branch in active and branch in finishes:
-                    start = max(start, finishes[branch])
+        start = plan.start(task, finishes, decisions)
         finishes[task] = start + schedule.placement(task).duration
         finish_time = max(finish_time, finishes[task])
     return finish_time
@@ -93,14 +75,14 @@ def check_scenario_feasibility(
     if limit <= 0:
         return []  # CTG005/CTG006 report the missing deadline
     try:
-        schedule.edge_delays()
+        plan = ReplayPlan.of(schedule)
     except PlatformError:
         return []  # broken mapping; SCHED002/PLAT002 report the cause
     if scenarios is None:
         scenarios = enumerate_scenarios(schedule.ctg.without_pseudo_edges())
     findings: List[Diagnostic] = []
     for scenario in scenarios:
-        finish = scenario_finish_time(schedule, scenario)
+        finish = _finish_time(plan, schedule, scenario)
         if finish > limit + TIME_EPS:
             findings.append(
                 Diagnostic(

@@ -36,6 +36,7 @@ from ..check.tolerances import TIME_EPS
 from ..ctg.graph import CTGError
 from ..ctg.minterms import BranchProbabilities, CtgAnalysis, Scenario
 from ..profiling import StageProfiler, as_profiler
+from .replay import ReplayPlan
 from .schedule import Schedule
 from .stretching import stretch_schedule
 
@@ -178,24 +179,23 @@ def modal_instance_energy(
 ) -> Tuple[float, float, bool]:
     """Execute one instance under modal speeds.
 
-    Returns ``(energy, finish_time, deadline_met)``.  The timing replay
-    mirrors :class:`repro.sim.executor.InstanceExecutor` but picks each
-    activated task's speed from the modal table using the decisions of
-    its ancestor branch forks.
+    Returns ``(energy, finish_time, deadline_met)``.  Tasks start by
+    the schedule's :class:`~repro.scheduling.replay.ReplayPlan`, like
+    the executor's replay, but each activated task's speed comes from
+    the modal table using the decisions of its ancestor branch forks.
     """
     from ..sim.vectors import scenario_from_decisions
 
     ctg = schedule.ctg
-    real = ctg.without_pseudo_edges()
-    scenario = scenario_from_decisions(real, decisions)
+    scenario = scenario_from_decisions(ctg.without_pseudo_edges(), decisions)
     active = scenario.active
-    edge_delays = schedule.edge_delays()
+    plan = ReplayPlan.of(schedule)
     exponent = schedule.platform.dvfs.exponent
 
     finishes: Dict[str, float] = {}
     energy = 0.0
     finish_time = 0.0
-    for task in ctg.topological_order():
+    for task in plan.order:
         if task not in active:
             continue
         known = {
@@ -206,21 +206,7 @@ def modal_instance_energy(
         speed = schedule.platform.pe(schedule.pe_of(task)).clamp_speed(
             table.speed_for(task, known)
         )
-        start = 0.0
-        for src, _dst, data in ctg.in_edges(task, include_pseudo=True):
-            if src not in active:
-                continue
-            if data.pseudo:
-                start = max(start, finishes[src])
-                continue
-            if data.condition is not None and (
-                decisions.get(data.condition.branch) != data.condition.label
-            ):
-                continue
-            start = max(start, finishes[src] + edge_delays.get((src, task), 0.0))
-        for branch in real.deciding_branches(task) if ctg.kind(task).value == "or" else ():
-            if branch in active:
-                start = max(start, finishes[branch])
+        start = plan.start(task, finishes, decisions)
         placement = schedule.placement(task)
         finishes[task] = start + placement.wcet / speed
         finish_time = max(finish_time, finishes[task])

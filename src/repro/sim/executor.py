@@ -5,15 +5,10 @@ decision vector, the executor replays the instance the way the MPSoC
 would run it:
 
 * only the tasks activated by the decisions execute;
-* a task starts when its activated predecessors have finished and
-  their data has arrived (cross-PE transfer delay);
-* an **or-node** additionally waits for every upstream branch fork
-  that could decide one of its inputs — the paper's Example 1: τ₈
-  cannot start before τ₃ finishes even when a₁ deselects τ₄, because
-  until τ₃ resolves it is unknown whether τ₄'s data must be awaited;
-* same-PE serialisation follows the schedule's pseudo edges (a pseudo
-  edge from a deactivated task costs nothing — its slot is simply
-  free, which is where conditional energy/latency savings come from);
+* each task starts by the start-time rule of the schedule's
+  :class:`~repro.scheduling.replay.ReplayPlan` — data arrival over the
+  taken edges, same-PE serialisation over pseudo edges, and the
+  paper's Example-1 wait of an or-node for its deciding branch forks;
 * energy is the sum over activated tasks of their DVFS-scaled energy
   plus the transfer energy of the activated cross-PE edges.
 
@@ -33,6 +28,7 @@ from ..faults.injectors import InstanceFaults
 from ..faults.policy import DegradationPolicy
 from ..profiling import StageProfiler, as_profiler
 from ..scheduling.policies import SpeedPolicy, resolve_speed_policy
+from ..scheduling.replay import ReplayPlan
 from ..scheduling.schedule import Schedule
 from .vectors import DecisionVector, scenario_from_decisions
 
@@ -85,7 +81,7 @@ class InstanceResult:
 
 
 class InstanceExecutor:
-    """Reusable executor for one schedule (caches graph lookups).
+    """Reusable executor for one schedule (compiles its replay plan once).
 
     ``profiler`` (optional) accumulates the ``executor.replay`` stage
     timing and the ``executor.instances`` counter across :meth:`run`
@@ -114,15 +110,8 @@ class InstanceExecutor:
         self._tracer = self._prof.tracer
         self._policy = resolve_speed_policy(speed_policy)
         self._esc_speeds: Dict[str, float] = {}
-        ctg = schedule.ctg
-        self._real_ctg = ctg.without_pseudo_edges()
-        self._order = ctg.topological_order()
-        self._deciders: Dict[str, Tuple[str, ...]] = {
-            task: tuple(self._real_ctg.deciding_branches(task))
-            for task in ctg.tasks()
-            if ctg.kind(task).value == "or"
-        }
-        self._edge_delays = schedule.edge_delays()
+        self._real_ctg = schedule.ctg.without_pseudo_edges()
+        self._plan = ReplayPlan.of(schedule)
         self._worst_case: Optional[Dict[str, Tuple[float, float]]] = None
 
     def _escalation_speed(self, pe_name: str) -> float:
@@ -150,12 +139,8 @@ class InstanceExecutor:
         converted into voltage reduction.  Omitted (the default), the
         replay is the historical WCET replay, bit-identical.
         """
-        dynamic = work_ratios is not None or self._policy.reclaims_slack
         with self._prof.stage("executor.replay"):
-            if dynamic:
-                result = self._run_dynamic(decisions, work_ratios or {})
-            else:
-                result = self._run(decisions)
+            result = self._run(decisions, work_ratios)
         self._prof.count("executor.instances")
         if self._tracer.enabled:
             self._emit_instance_spans(result, decisions)
@@ -178,7 +163,6 @@ class InstanceExecutor:
         """
         tracer = self._tracer
         schedule = self.schedule
-        ctg = schedule.ctg
         finishes = result.finish_times
         for task, start in result.start_times.items():
             placement = schedule.placement(task)
@@ -191,15 +175,10 @@ class InstanceExecutor:
                 speed=round(placement.speed, 4),
             )
         for task in result.start_times:
-            for src, _dst, data in ctg.in_edges(task, include_pseudo=False):
-                if src not in finishes:
+            for src, delay, branch, label in self._plan.inputs[task]:
+                if delay is None or delay <= 0.0 or src not in finishes:
                     continue
-                if data.condition is not None and (
-                    decisions.get(data.condition.branch) != data.condition.label
-                ):
-                    continue
-                delay = self._edge_delays.get((src, task), 0.0)
-                if delay <= 0.0:
+                if branch is not None and decisions.get(branch) != label:
                     continue
                 if edge_factors:
                     delay *= edge_factors.get((src, task), 1.0)
@@ -213,65 +192,30 @@ class InstanceExecutor:
                     track=f"link:{src_pe}-{dst_pe}",
                 )
 
-    def _run(self, decisions: DecisionVector) -> InstanceResult:
-        schedule = self.schedule
-        ctg = schedule.ctg
-        scenario = scenario_from_decisions(self._real_ctg, decisions)
-        active = scenario.active
-
-        starts: Dict[str, float] = {}
-        finishes: Dict[str, float] = {}
-        for task in self._order:
-            if task not in active:
-                continue
-            start = 0.0
-            for src, _dst, data in ctg.in_edges(task, include_pseudo=True):
-                if src not in active:
-                    continue
-                if data.pseudo:
-                    start = max(start, finishes[src])
-                    continue
-                if data.condition is not None and (
-                    decisions.get(data.condition.branch) != data.condition.label
-                ):
-                    continue
-                start = max(start, finishes[src] + self._edge_delays.get((src, task), 0.0))
-            for branch in self._deciders.get(task, ()):
-                if branch in active:
-                    start = max(start, finishes[branch])
-            starts[task] = start
-            finishes[task] = start + schedule.placement(task).duration
-        finish_time = max(finishes.values(), default=0.0)
-        energy = schedule.scenario_energy(scenario)
-        deadline = ctg.deadline
-        return InstanceResult(
-            energy=energy,
-            finish_time=finish_time,
-            deadline_met=(deadline <= 0 or finish_time <= deadline + TIME_EPS),
-            scenario=scenario,
-            start_times=starts,
-            finish_times=finishes,
-        )
-
-
-    def _run_dynamic(
-        self, decisions: DecisionVector, work_ratios: Mapping[str, float]
+    def _run(
+        self,
+        decisions: DecisionVector,
+        work_ratios: Optional[Mapping[str, float]],
     ) -> InstanceResult:
-        """Replay with actual execution times and run-time speed plans.
+        """Fault-free replay of one instance.
 
-        Same propagation as :meth:`_run`, but each task executes
-        ``work_ratios[task]`` of its WCET following the speed plan its
-        policy chooses at start time (static speed for non-reclaiming
-        policies).  Energy is accumulated per executed work segment —
-        ``fraction · E_nominal · ρ^α`` — plus the scenario's
-        communication energy.
+        Without ``work_ratios`` under a non-reclaiming policy, every
+        task runs its WCET at its static speed and the energy is
+        :meth:`Schedule.scenario_energy`.  Otherwise each task executes
+        ``work_ratios[task]`` (default 1.0) of its WCET following the
+        speed plan its policy chooses at start time (static speed for
+        non-reclaiming policies); computation energy is accumulated per
+        executed work segment — ``fraction · E_nominal · ρ^α`` — plus
+        the scenario's communication energy.
         """
         schedule = self.schedule
-        ctg = schedule.ctg
+        plan = self._plan
         platform = schedule.platform
         exponent = platform.dvfs.exponent
         policy = self._policy
         reclaiming = policy.reclaims_slack
+        dynamic = work_ratios is not None or reclaiming
+        ratios = work_ratios or {}
         if reclaiming and self._worst_case is None:
             self._worst_case = schedule.worst_case_times()
         scenario = scenario_from_decisions(self._real_ctg, decisions)
@@ -281,40 +225,28 @@ class InstanceExecutor:
         finishes: Dict[str, float] = {}
         reclaimed: list = []
         comp_energy = 0.0
-        for task in self._order:
+        for task in plan.order:
             if task not in active:
                 continue
-            start = 0.0
-            for src, _dst, data in ctg.in_edges(task, include_pseudo=True):
-                if src not in active:
-                    continue
-                if data.pseudo:
-                    start = max(start, finishes[src])
-                    continue
-                if data.condition is not None and (
-                    decisions.get(data.condition.branch) != data.condition.label
-                ):
-                    continue
-                start = max(start, finishes[src] + self._edge_delays.get((src, task), 0.0))
-            for branch in self._deciders.get(task, ()):
-                if branch in active:
-                    start = max(start, finishes[branch])
-
+            start = plan.start(task, finishes, decisions)
             placement = schedule.placement(task)
-            ratio = work_ratios.get(task, 1.0)
+            if not dynamic:
+                starts[task] = start
+                finishes[task] = start + placement.duration
+                continue
             if reclaiming:
                 budget_finish = self._worst_case[task][1]
                 pe = platform.pe(placement.pe)
-                plan = policy.reclaim_plan(placement, pe, start, budget_finish)
-                if len(plan) > 1 or plan[0][0] < placement.speed - EXACT_EPS:
+                speeds = policy.reclaim_plan(placement, pe, start, budget_finish)
+                if len(speeds) > 1 or speeds[0][0] < placement.speed - EXACT_EPS:
                     reclaimed.append(task)
                     self._prof.count("executor.reclaimed")
             else:
-                plan = ((placement.speed, 1.0),)
+                speeds = ((placement.speed, 1.0),)
 
             duration = 0.0
-            remaining = ratio
-            for speed, fraction in plan:
+            remaining = ratios.get(task, 1.0)
+            for speed, fraction in speeds:
                 if remaining <= 0.0:
                     break
                 executed = min(remaining, fraction)
@@ -324,7 +256,7 @@ class InstanceExecutor:
                 )
                 remaining -= executed
             if remaining > 0.0:
-                tail_speed = plan[-1][0]
+                tail_speed = speeds[-1][0]
                 duration += remaining * placement.wcet / tail_speed
                 comp_energy += (
                     remaining * placement.nominal_energy * tail_speed**exponent
@@ -333,14 +265,16 @@ class InstanceExecutor:
             finishes[task] = start + duration
 
         finish_time = max(finishes.values(), default=0.0)
-        # scenario_energy at static speeds minus its computation part
-        # leaves exactly the communication energy of the scenario
-        static_comp = 0.0
-        for task in sorted(active):
-            if task in schedule.placements:
-                static_comp += schedule.placements[task].energy(exponent)
-        energy = schedule.scenario_energy(scenario) - static_comp + comp_energy
-        deadline = ctg.deadline
+        energy = schedule.scenario_energy(scenario)
+        if dynamic:
+            # scenario_energy at static speeds minus its computation
+            # part leaves exactly the communication energy of the scenario
+            static_comp = 0.0
+            for task in sorted(active):
+                if task in schedule.placements:
+                    static_comp += schedule.placements[task].energy(exponent)
+            energy = energy - static_comp + comp_energy
+        deadline = schedule.ctg.deadline
         return InstanceResult(
             energy=energy,
             finish_time=finish_time,
@@ -415,8 +349,7 @@ class InstanceExecutor:
         policy: DegradationPolicy,
     ) -> InstanceResult:
         schedule = self.schedule
-        ctg = schedule.ctg
-        deadline = ctg.deadline
+        deadline = schedule.ctg.deadline
         exponent = schedule.platform.dvfs.exponent
         scenario = scenario_from_decisions(self._real_ctg, decisions)
         active = scenario.active
@@ -443,7 +376,6 @@ class InstanceExecutor:
             for name in schedule.platform.pe_names
         )
 
-        starts_b: Dict[str, float] = {}
         finishes_b: Dict[str, float] = {}
         starts_p: Dict[str, float] = {}
         finishes_p: Dict[str, float] = {}
@@ -454,36 +386,16 @@ class InstanceExecutor:
         escalating = False
         overrun_detected = False
 
-        for task in self._order:
+        plan = self._plan
+        edge_factors = faults.edge_factors
+        for task in plan.order:
             if task not in active:
                 continue
-            start_b = start_p = start_q = 0.0
-            for src, _dst, data in ctg.in_edges(task, include_pseudo=True):
-                if src not in active:
-                    continue
-                if data.pseudo:
-                    start_b = max(start_b, finishes_b[src])
-                    start_p = max(start_p, finishes_p[src])
-                    if track_q:
-                        start_q = max(start_q, finishes_q[src])
-                    continue
-                if data.condition is not None and (
-                    decisions.get(data.condition.branch) != data.condition.label
-                ):
-                    continue
-                delay = self._edge_delays.get((src, task), 0.0)
-                if delay > 0.0:
-                    delay *= faults.edge_factors.get((src, task), 1.0)
-                start_b = max(start_b, finishes_b[src] + delay)
-                start_p = max(start_p, finishes_p[src] + delay)
-                if track_q:
-                    start_q = max(start_q, finishes_q[src] + delay)
-            for branch in self._deciders.get(task, ()):
-                if branch in active:
-                    start_b = max(start_b, finishes_b[branch])
-                    start_p = max(start_p, finishes_p[branch])
-                    if track_q:
-                        start_q = max(start_q, finishes_q[branch])
+            start_b = plan.start(task, finishes_b, decisions, edge_factors)
+            start_p = plan.start(task, finishes_p, decisions, edge_factors)
+            start_q = 0.0
+            if track_q:
+                start_q = plan.start(task, finishes_q, decisions, edge_factors)
 
             placement = schedule.placement(task)
             freeze = freezes.get(placement.pe, 0.0)
@@ -503,7 +415,6 @@ class InstanceExecutor:
             nominal = placement.energy(exponent)
             faulted_duration = effective_wcet / placement.speed * pe_factor
 
-            starts_b[task] = start_b
             finishes_b[task] = start_b + faulted_duration
 
             # Policy arm.  Two detectors feed the escalation latch:

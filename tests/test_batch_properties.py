@@ -18,6 +18,7 @@ from repro.batch import (
     scenario_energies,
     scenario_finish_times,
 )
+from repro.check.feasibility import scenario_finish_time
 from repro.scheduling import schedule_online
 from repro.sim import InstanceExecutor
 
@@ -64,8 +65,10 @@ def test_round_trip_is_bit_exact(nodes, branches, category, pes, seed, factor):
 def test_scenario_kernels_agree_with_executor(
     nodes, branches, category, pes, seed, factor
 ):
-    """Batched per-scenario finish times and energies equal the
-    executor's replay of every minterm."""
+    """Batched per-scenario finish times and energies, and the static
+    feasibility check's finish times, equal the executor's replay of
+    every minterm (the feasibility check exactly: it walks the same
+    replay plan)."""
     try:
         ctg, platform = build_instance(nodes, branches, category, pes, seed, factor)
     except ValueError:
@@ -79,6 +82,7 @@ def test_scenario_kernels_agree_with_executor(
         outcome = executor.run(decisions_of(scenario, ctg))
         assert finishes[s] == pytest.approx(outcome.finish_time, abs=1e-9)
         assert energies[s] == pytest.approx(outcome.energy, rel=1e-9)
+        assert scenario_finish_time(schedule, scenario) == outcome.finish_time
 
 
 @settings(max_examples=8, deadline=None)

@@ -44,6 +44,16 @@ class TestCli:
         assert "expected energy" in out
         assert "t8" in out
 
+    @pytest.mark.parametrize("content", [None, "not json"])
+    def test_schedule_unloadable_instance_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "instance.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["schedule", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schedule: cannot load")
+        assert "Traceback" not in err
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])

@@ -107,6 +107,31 @@ class TestModalExecution:
             assert met
 
 
+    @pytest.mark.parametrize("seed", [None, 11, 13])
+    def test_own_speeds_replay_like_the_executor(self, seed):
+        """A table whose every row holds the schedule's own speeds times
+        tasks exactly like the executor: both read one replay plan."""
+        if seed is None:
+            ctg, _platform, schedule = build()
+        else:
+            ctg = generate_ctg(GeneratorConfig(nodes=16, branch_nodes=2, seed=seed))
+            platform = generate_platform(ctg.tasks(), PlatformConfig(pes=3, seed=seed))
+            set_deadline_from_makespan(ctg, platform, 1.4)
+            schedule = schedule_online(ctg, platform).schedule
+        table = build_modal_table(schedule)
+        table.speeds = [
+            {task: schedule.placement(task).speed for task in row}
+            for row in table.speeds
+        ]
+        for scenario in enumerate_scenarios(ctg):
+            decisions = decisions_of(scenario, ctg)
+            energy, finish, met = modal_instance_energy(schedule, table, decisions)
+            outcome = execute_instance(schedule, decisions)
+            assert finish == outcome.finish_time
+            assert met == outcome.deadline_met
+            assert energy == pytest.approx(outcome.energy, rel=1e-12)
+
+
 class TestPseudoEdgeSkips:
     """The implied-edge injection must skip narrowly and observably."""
 

@@ -231,6 +231,31 @@ def _add_foreign_guards(ctg, count, seed):
         graph.add_edge(u, v, data=EdgeData(condition=Outcome(branch, label)))
 
 
+def _consistent_path_count(graph):
+    """Source→sink paths of ``graph`` (real + pseudo edges) that pick no
+    two outcomes of one branch, counted by a forward pass over (task,
+    outcomes picked so far) without listing a single path."""
+    arriving = {}  # task -> {outcomes picked: partial paths reaching it}
+    total = 0
+    for task in nx.topological_sort(graph):
+        if graph.in_degree(task):
+            counts = arriving.pop(task, {})
+        else:
+            counts = {frozenset(): 1}
+        if not graph.out_degree(task):
+            total += sum(counts.values())
+        for succ, attrs in graph.succ[task].items():
+            outcome = attrs["data"].condition
+            onward = arriving.setdefault(succ, {})
+            for chosen, paths in counts.items():
+                if outcome is not None:
+                    if any(outcome.conflicts_with(o) for o in chosen):
+                        continue
+                    chosen = chosen | {outcome}
+                onward[chosen] = onward.get(chosen, 0) + paths
+    return total
+
+
 def _generated(nodes, branches, category, pes, seed):
     try:
         return build_instance(nodes, branches, category, pes, seed, 1.5)
@@ -254,13 +279,25 @@ def test_builder_matches_oracle_on_generated_ctgs(
 ):
     """DLS pseudo edges (serialised or mutex-overlapped), nested
     branches and foreign-guarded or-join continuations: every field and
-    the probability refresh agree with the oracle."""
+    the probability refresh agree with the oracle, and the path count
+    is the independently counted number of consistent paths.  Past
+    ``MAX_PATHS`` paths (a serialised single-PE schedule can get there)
+    the builder must refuse with the valve error, as ``enumerate_paths``
+    does; the oracle is not run there, since listing two million
+    ``CTGPath`` objects first would take about a gigabyte."""
     ctg, platform = _generated(nodes, branches, category, pes, seed)
     analysis = CtgAnalysis.of(ctg)
     schedule = dls_schedule(ctg, platform, analysis=analysis, mutex_overlap=mutex_overlap)
     _add_foreign_guards(schedule.ctg, foreign_guards, seed)
+    count = _consistent_path_count(schedule.ctg.graph)
+    limit = ctg_paths.MAX_PATHS
+    if count > limit:
+        with pytest.raises(RuntimeError, match=f"path explosion: more than {limit} paths"):
+            build_structure(schedule, analysis.scenarios)
+        return
     probabilities = random_distribution(ctg, np.random.default_rng(dist_seed))
-    _assert_builds_match(schedule, analysis.scenarios, probabilities)
+    structure = _assert_builds_match(schedule, analysis.scenarios, probabilities)
+    assert structure.path_count == count
 
 
 @settings(max_examples=6, deadline=None)
