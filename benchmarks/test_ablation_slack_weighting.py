@@ -11,11 +11,13 @@ sensitivity to the distribution (the adaptive lever measured by
 Tables 4/5).
 """
 
-from repro.experiments import run_weighting_ablation
+from repro.experiments import run_spec, weighting_spec
 
 
 def test_ablation_slack_weighting(benchmark, archive):
-    result = benchmark.pedantic(run_weighting_ablation, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: run_spec(weighting_spec(), jobs=1).result, rounds=1, iterations=1
+    )
     archive("ablation_slack_weighting", result.format())
 
     by_name = {row.variant: row.expected_energy for row in result.rows}

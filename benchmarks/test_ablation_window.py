@@ -7,11 +7,13 @@ the MPEG decoder: call counts must grow monotonically as the threshold
 tightens, and the energy spread across the grid stays bounded.
 """
 
-from repro.experiments import run_window_threshold_sweep
+from repro.experiments import run_spec, sweep_spec
 
 
 def test_ablation_window_threshold(benchmark, archive):
-    result = benchmark.pedantic(run_window_threshold_sweep, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: run_spec(sweep_spec(), jobs=1).result, rounds=1, iterations=1
+    )
     archive("ablation_window", result.format())
 
     # calls grow as the threshold tightens, for every window size

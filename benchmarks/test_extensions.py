@@ -5,15 +5,13 @@
 * discrete DVFS level quantisation penalty.
 """
 
-from repro.experiments import (
-    run_discrete_dvfs,
-    run_overhead_breakeven,
-    run_predictor_comparison,
-)
+from repro.experiments import discrete_spec, overhead_spec, predictor_spec, run_spec
 
 
 def test_extension_predictors(benchmark, archive):
-    result = benchmark.pedantic(run_predictor_comparison, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: run_spec(predictor_spec(), jobs=1).result, rounds=1, iterations=1
+    )
     archive("extension_predictors", result.format())
 
     for row in result.rows:
@@ -26,7 +24,9 @@ def test_extension_predictors(benchmark, archive):
 
 
 def test_extension_overhead_breakeven(benchmark, archive):
-    result = benchmark.pedantic(run_overhead_breakeven, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: run_spec(overhead_spec(), jobs=1).result, rounds=1, iterations=1
+    )
     archive("extension_overhead", result.format())
 
     # tighter thresholds → more calls → lower break-even per call
@@ -40,7 +40,9 @@ def test_extension_overhead_breakeven(benchmark, archive):
 
 
 def test_extension_discrete_dvfs(benchmark, archive):
-    result = benchmark.pedantic(run_discrete_dvfs, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: run_spec(discrete_spec(), jobs=1).result, rounds=1, iterations=1
+    )
     archive("extension_discrete_dvfs", result.format())
 
     by_name = {row.levels: row for row in result.rows}

@@ -7,12 +7,14 @@ but slowly, and the threshold-0.1 staircase tracks it with few updates
 and small tracking error.
 """
 
-from repro.experiments import run_figure4
+from repro.experiments import figure4_spec, run_spec
 from repro.viz import series_svg
 
 
 def test_figure4(benchmark, archive, archive_svg):
-    result = benchmark.pedantic(run_figure4, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: run_spec(figure4_spec(), jobs=1).result, rounds=1, iterations=1
+    )
     archive("figure4", result.format())
     archive_svg(
         "figure4",

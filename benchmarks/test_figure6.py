@@ -10,11 +10,15 @@ worst on par with the ideal static profile and the Category-1 graphs
 benefit at least as much as Category-2.
 """
 
-from repro.experiments import run_figure6
+from repro.experiments import bias_spec, run_spec
 
 
 def test_figure6(benchmark, archive):
-    result = benchmark.pedantic(run_figure6, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: run_spec(bias_spec("ideal", thresholds=(0.5,)), jobs=1).result,
+        rounds=1,
+        iterations=1,
+    )
     archive(
         "figure6",
         result.format(

@@ -6,11 +6,13 @@ channel seeds of the 802.11b workload and asserts the savings
 zero.  This is the statistical backing for the headline claim.
 """
 
-from repro.experiments import run_seed_robustness
+from repro.experiments import robustness_spec, run_spec
 
 
 def test_seed_robustness(benchmark, archive):
-    result = benchmark.pedantic(run_seed_robustness, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: run_spec(robustness_spec(), jobs=1).result, rounds=1, iterations=1
+    )
     archive("extension_robustness", result.format())
 
     summary = result.summary()

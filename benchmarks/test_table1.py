@@ -5,11 +5,13 @@ energy vs online), reference 2 slightly below 100 (87–97), online
 normalised at 100.
 """
 
-from repro.experiments import run_table1
+from repro.experiments import run_spec, table1_spec
 
 
 def test_table1(benchmark, archive):
-    result = benchmark.pedantic(run_table1, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: run_spec(table1_spec(), jobs=1).result, rounds=1, iterations=1
+    )
     archive("table1", result.format())
 
     benchmark.extra_info["mean_ref1"] = round(result.mean_reference_1, 1)

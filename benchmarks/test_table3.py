@@ -7,11 +7,13 @@ optimum leaves little for adaptation), with ≈150 calls at T=0.1 and a
 handful at T=0.5.
 """
 
-from repro.experiments import run_table3
+from repro.experiments import run_spec, table3_spec
 
 
 def test_table3(benchmark, archive):
-    result = benchmark.pedantic(run_table3, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: run_spec(table3_spec(), jobs=1).result, rounds=1, iterations=1
+    )
     archive("table3", result.format())
 
     for row in result.rows:

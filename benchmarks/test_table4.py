@@ -7,11 +7,13 @@ average, with Category-1 (nested fork-join) graphs benefiting more
 than Category-2, and call counts ~3–10 (T=0.5) vs ~100–250 (T=0.1).
 """
 
-from repro.experiments import run_table4
+from repro.experiments import bias_spec, run_spec
 
 
 def test_table4(benchmark, archive):
-    result = benchmark.pedantic(run_table4, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: run_spec(bias_spec("lowest"), jobs=1).result, rounds=1, iterations=1
+    )
     archive(
         "table4",
         result.format(

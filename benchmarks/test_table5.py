@@ -8,11 +8,13 @@ hits the lowest-energy minterm): savings drop to ≈3% (T=0.5) / ≈5%
 slightly (paper CTGs 3 and 8).
 """
 
-from repro.experiments import run_table4, run_table5
+from repro.experiments import bias_spec, run_spec
 
 
 def test_table5(benchmark, archive):
-    result = benchmark.pedantic(run_table5, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: run_spec(bias_spec("highest"), jobs=1).result, rounds=1, iterations=1
+    )
     archive(
         "table5",
         result.format(
@@ -26,7 +28,7 @@ def test_table5(benchmark, archive):
             result.mean_savings(threshold), 1
         )
 
-    low_bias = run_table4()
+    low_bias = run_spec(bias_spec("lowest"), jobs=1).result
     # the asymmetry the paper highlights: the cheap-bias handicap (T4)
     # costs the online algorithm much more than the expensive bias (T5)
     for threshold in result.thresholds:

@@ -15,7 +15,7 @@ import sys
 
 from repro.adaptive import AdaptiveConfig
 from repro.analysis import format_table
-from repro.experiments import run_figure4
+from repro.experiments import figure4_spec, run_spec
 from repro.scheduling import set_deadline_from_makespan
 from repro.sim import empirical_distribution, energy_savings, run_adaptive, run_non_adaptive
 from repro.workloads import MOVIE_PROFILES, movie_trace, mpeg_ctg, mpeg_platform
@@ -48,7 +48,7 @@ def main() -> None:
     )
 
     # Figure 4: the branch-probability dynamics of this clip.
-    figure4 = run_figure4(movie=movie)
+    figure4 = run_spec(figure4_spec(movie=movie), jobs=1).result
     print(f"\ntype-I branch probability (window 50) over 1000 macroblocks of {movie}:")
     print(ascii_plot(figure4.windowed))
     print(

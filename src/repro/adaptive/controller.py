@@ -161,9 +161,11 @@ class AdaptiveController:
         Returns ``True`` when the drift crossed the threshold and the
         online algorithm was re-invoked (subsequent instances run under
         the new schedule).  Equivalent to :meth:`record` +
-        :meth:`wants_reschedule` + :meth:`reschedule`; the faulted
-        runner drives those pieces separately so dropped/delayed
-        invocations can intervene between the decision and the call.
+        :meth:`wants_reschedule` + :meth:`reschedule`; the trace loop
+        of :mod:`repro.sim.runner` drives those pieces separately so
+        that, in a faulted run, dropped/delayed invocations and
+        emergency re-schedules can intervene between the decision and
+        the call.
         """
         self.record(decisions)
         if not self.wants_reschedule():

@@ -1,17 +1,11 @@
 """Experiment harnesses — one per table/figure of the paper plus
 ablations, all declared as :class:`~repro.experiments.spec.
 ExperimentSpec` and executed by the parallel, cached engine in
-:mod:`repro.experiments.engine`.  Both the benchmark suite and the
-examples drive these."""
+:mod:`repro.experiments.engine`.  :func:`run_spec` is the one way to
+run an experiment: ``run_spec(table3_spec(...), jobs=1).result`` is
+what the CLI, the benchmark suite and the examples all do."""
 
-from .ablations import (
-    SweepResult,
-    WeightingResult,
-    run_weighting_ablation,
-    run_window_threshold_sweep,
-    sweep_spec,
-    weighting_spec,
-)
+from .ablations import SweepResult, WeightingResult, sweep_spec, weighting_spec
 from .artifacts import (
     ARTIFACT_SCHEMA,
     ArtifactError,
@@ -22,13 +16,7 @@ from .artifacts import (
     write_artifact,
 )
 from .cache import ENTRY_VERSION, CacheStats, CellCache, resolve_cache
-from .chaos import (
-    ChaosResult,
-    ChaosRow,
-    chaos_spec,
-    fault_plan_catalogue,
-    run_chaos,
-)
+from .chaos import ChaosResult, ChaosRow, chaos_spec, fault_plan_catalogue
 from .engine import (
     EngineError,
     EngineStats,
@@ -45,31 +33,16 @@ from .extensions import (
     overhead_spec,
     predictor_spec,
     robustness_spec,
-    run_discrete_dvfs,
-    run_overhead_breakeven,
-    run_predictor_comparison,
-    run_seed_robustness,
 )
-from .figure4 import Figure4Result, figure4_spec, run_figure4
-from .montecarlo import (
-    MonteCarloSweepResult,
-    montecarlo_spec,
-    run_montecarlo,
-)
-from .mpeg_energy import MpegResult, mpeg_spec, run_mpeg_energy
-from .runtime import RuntimeResult, run_runtime, runtime_spec
+from .figure4 import Figure4Result, figure4_spec
+from .montecarlo import MonteCarloSweepResult, montecarlo_spec
+from .mpeg_energy import MpegResult, mpeg_spec
+from .runtime import RuntimeResult, runtime_spec
 from .spec import Cell, CellResult, ExperimentSpec, SpecError, derive_cell_seeds
-from .table1 import Table1Result, run_table1, table1_spec
+from .table1 import Table1Result, table1_spec
 from .workers import LocalProcessPool, SerialPool, WorkerPool, resolve_pool
-from .table3 import Table3Result, run_table3, table3_spec
-from .table45 import (
-    BiasResult,
-    bias_spec,
-    run_bias_experiment,
-    run_figure6,
-    run_table4,
-    run_table5,
-)
+from .table3 import Table3Result, table3_spec
+from .table45 import BiasResult, bias_spec
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -83,7 +56,6 @@ __all__ = [
     "ChaosRow",
     "chaos_spec",
     "fault_plan_catalogue",
-    "run_chaos",
     "Cell",
     "CellResult",
     "ExperimentSpec",
@@ -104,8 +76,6 @@ __all__ = [
     "resolve_pool",
     "SweepResult",
     "WeightingResult",
-    "run_weighting_ablation",
-    "run_window_threshold_sweep",
     "sweep_spec",
     "weighting_spec",
     "DiscreteResult",
@@ -116,32 +86,18 @@ __all__ = [
     "overhead_spec",
     "predictor_spec",
     "robustness_spec",
-    "run_discrete_dvfs",
-    "run_overhead_breakeven",
-    "run_predictor_comparison",
-    "run_seed_robustness",
     "Figure4Result",
     "figure4_spec",
-    "run_figure4",
     "MonteCarloSweepResult",
     "montecarlo_spec",
-    "run_montecarlo",
     "MpegResult",
     "mpeg_spec",
-    "run_mpeg_energy",
     "RuntimeResult",
-    "run_runtime",
     "runtime_spec",
     "Table1Result",
-    "run_table1",
     "table1_spec",
     "Table3Result",
-    "run_table3",
     "table3_spec",
     "BiasResult",
     "bias_spec",
-    "run_bias_experiment",
-    "run_figure6",
-    "run_table4",
-    "run_table5",
 ]

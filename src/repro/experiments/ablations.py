@@ -23,7 +23,7 @@ independent (parallelisable, cacheable) without changing any number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..adaptive import AdaptiveConfig
 from ..analysis import format_table
@@ -143,22 +143,6 @@ def sweep_spec(
     )
 
 
-def run_window_threshold_sweep(
-    movie: str = "Shuttle",
-    windows: Sequence[int] = (10, 20, 50),
-    thresholds: Sequence[float] = (0.5, 0.25, 0.1, 0.05),
-    length: int = 2000,
-    deadline_factor: float = 1.6,
-    jobs: int = 1,
-    cache: Optional[object] = None,
-) -> SweepResult:
-    """Sweep the two adaptive knobs on one movie clip."""
-    from .engine import run_spec
-
-    spec = sweep_spec(movie, windows, thresholds, length, deadline_factor)
-    return run_spec(spec, jobs=jobs, cache=cache).result
-
-
 @dataclass
 class WeightingRow:
     """Expected energy of one slack-distribution variant."""
@@ -244,17 +228,3 @@ def weighting_spec(deadline_factor: float = 1.6) -> ExperimentSpec:
         reducer=_reduce_weighting,
         context={"instance": instance_fingerprint(mpeg_ctg(), mpeg_platform())},
     )
-
-
-def run_weighting_ablation(
-    deadline_factor: float = 1.6, jobs: int = 1, cache: Optional[object] = None
-) -> WeightingResult:
-    """Compare CalculateSlack variants on the MPEG decoder.
-
-    Variants: the paper's linear single-pass weighting; the unweighted
-    ref-[9] flavour; the energy-optimal root weighting; four
-    redistribution passes; and zero-probability path pruning.
-    """
-    from .engine import run_spec
-
-    return run_spec(weighting_spec(deadline_factor), jobs=jobs, cache=cache).result

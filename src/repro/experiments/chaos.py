@@ -350,21 +350,3 @@ def _workload_fingerprint(workload: str) -> str:
     ctg = getattr(workloads, f"{workload}_ctg")()
     platform = getattr(workloads, f"{workload}_platform")()
     return instance_fingerprint(ctg, platform)
-
-
-def run_chaos(
-    workloads: Tuple[str, ...] = CHAOS_WORKLOADS,
-    plans: Optional[Tuple[str, ...]] = None,
-    policies: Tuple[str, ...] = ("default", "none"),
-    length: int = CHAOS_LENGTH,
-    jobs: int = 1,
-    cache: Optional[object] = None,
-    speed_policy: str = "continuous",
-) -> ChaosResult:
-    """Run the chaos matrix through the engine."""
-    from .engine import run_spec
-
-    spec = chaos_spec(
-        workloads, plans, policies, length=length, speed_policy=speed_policy
-    )
-    return run_spec(spec, jobs=jobs, cache=cache).result

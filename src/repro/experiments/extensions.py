@@ -170,22 +170,6 @@ def predictor_spec(
     )
 
 
-def run_predictor_comparison(
-    movies: Sequence[str] = ("Airwolf", "Shuttle", "Tennis"),
-    threshold: float = 0.1,
-    window: int = 20,
-    length: int = 2000,
-    deadline_factor: float = 1.6,
-    jobs: int = 1,
-    cache: Optional[object] = None,
-) -> PredictorResult:
-    """Compare the two estimators driving the adaptive controller."""
-    from .engine import run_spec
-
-    spec = predictor_spec(movies, threshold, window, length, deadline_factor)
-    return run_spec(spec, jobs=jobs, cache=cache).result
-
-
 # ----------------------------------------------------------------------
 # Overhead break-even
 # ----------------------------------------------------------------------
@@ -308,21 +292,6 @@ def overhead_spec(
     )
 
 
-def run_overhead_breakeven(
-    movie: str = "Bike",
-    thresholds: Sequence[float] = (0.5, 0.25, 0.1, 0.05),
-    length: int = 2000,
-    deadline_factor: float = 1.6,
-    jobs: int = 1,
-    cache: Optional[object] = None,
-) -> OverheadResult:
-    """Quantify the threshold/overhead trade-off the paper alludes to."""
-    from .engine import run_spec
-
-    spec = overhead_spec(movie, thresholds, length, deadline_factor)
-    return run_spec(spec, jobs=jobs, cache=cache).result
-
-
 # ----------------------------------------------------------------------
 # Seed robustness (Monte-Carlo over traces)
 # ----------------------------------------------------------------------
@@ -435,38 +404,6 @@ def robustness_spec(
         reducer=_reduce_robustness,
         context={"instance": instance_fingerprint(wlan_ctg(), wlan_platform())},
     )
-
-
-def run_seed_robustness(
-    seeds: Sequence[int] = tuple(range(20, 32)),
-    threshold: float = 0.1,
-    length: int = 2000,
-    deadline_factor: float = 1.5,
-    base_seed: Optional[int] = None,
-    n_seeds: int = 12,
-    jobs: int = 1,
-    cache: Optional[object] = None,
-) -> RobustnessResult:
-    """Monte-Carlo the 802.11b experiment over independent channel seeds.
-
-    The paper reports one run per workload; this quantifies how much
-    one seed can move the headline number — the robustness bench
-    asserts the savings *distribution* (its confidence interval) is
-    positive, a stronger claim than any single run.  Pass ``base_seed``
-    (optionally with ``n_seeds``) to derive an arbitrary number of
-    independent seeds instead of listing them.
-    """
-    from .engine import run_spec
-
-    spec = robustness_spec(
-        seeds=seeds,
-        threshold=threshold,
-        length=length,
-        deadline_factor=deadline_factor,
-        base_seed=base_seed,
-        n_seeds=n_seeds,
-    )
-    return run_spec(spec, jobs=jobs, cache=cache).result
 
 
 # ----------------------------------------------------------------------
@@ -591,12 +528,3 @@ def discrete_spec(deadline_factor: float = 1.6) -> ExperimentSpec:
         reducer=_reduce_discrete,
         context={"instance": instance_fingerprint(mpeg_ctg(), mpeg_platform())},
     )
-
-
-def run_discrete_dvfs(
-    deadline_factor: float = 1.6, jobs: int = 1, cache: Optional[object] = None
-) -> DiscreteResult:
-    """Energy cost of quantising the continuous speed assignment."""
-    from .engine import run_spec
-
-    return run_spec(discrete_spec(deadline_factor), jobs=jobs, cache=cache).result

@@ -18,7 +18,7 @@ means it caches and emits artifacts like every other one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..analysis import format_series, sliding_window_series, threshold_filter_series
 from ..workloads import movie_trace, mpeg_ctg
@@ -132,20 +132,3 @@ def figure4_spec(
         cell_function=figure4_cell,
         reducer=_reduce_figure4,
     )
-
-
-def run_figure4(
-    movie: str = "Airwolf",
-    length: int = 1000,
-    window: int = FIGURE4_WINDOW,
-    threshold: float = FIGURE4_THRESHOLD,
-    branch: str = "classify",
-    positive_label: str = "b1",
-    jobs: int = 1,
-    cache: Optional[object] = None,
-) -> Figure4Result:
-    """Regenerate Figure 4's three series for one movie clip."""
-    from .engine import run_spec
-
-    spec = figure4_spec(movie, length, window, threshold, branch, positive_label)
-    return run_spec(spec, jobs=jobs, cache=cache).result

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..analysis import format_table
 from ..profiling import StageProfiler
@@ -152,18 +152,3 @@ def montecarlo_spec(
         reducer=_reduce_montecarlo,
         timing_keys=("sweep_seconds",),
     )
-
-
-def run_montecarlo(
-    workloads: Tuple[str, ...] = MONTECARLO_WORKLOADS,
-    n: int = MONTECARLO_INSTANCES,
-    seed: int = 0,
-    jobs: int = 1,
-    cache: Optional[object] = None,
-) -> MonteCarloSweepResult:
-    """Run the batched Monte-Carlo sweep through the engine."""
-    from .engine import run_spec
-
-    return run_spec(
-        montecarlo_spec(workloads, n, seed), jobs=jobs, cache=cache
-    ).result

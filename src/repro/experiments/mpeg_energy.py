@@ -14,7 +14,7 @@ the fingerprint context carries the serialised MPEG instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..adaptive import AdaptiveConfig
 from ..analysis import format_table, percent_savings
@@ -175,19 +175,3 @@ def mpeg_spec(
         reducer=_reduce_mpeg,
         context={"instance": instance_fingerprint(mpeg_ctg(), mpeg_platform())},
     )
-
-
-def run_mpeg_energy(
-    movies: Tuple[str, ...] = tuple(MOVIE_PROFILES),
-    thresholds: Tuple[float, ...] = MPEG_THRESHOLDS,
-    length: int = 2000,
-    window: int = MPEG_WINDOW,
-    deadline_factor: float = MPEG_DEADLINE_FACTOR,
-    jobs: int = 1,
-    cache: Optional[object] = None,
-) -> MpegResult:
-    """Regenerate Figure 5 and Table 2 through the engine."""
-    from .engine import run_spec
-
-    spec = mpeg_spec(movies, thresholds, length, window, deadline_factor)
-    return run_spec(spec, jobs=jobs, cache=cache).result

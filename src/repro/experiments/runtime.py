@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..analysis import format_table, geometric_mean
 from ..ctg import CtgAnalysis, generate_ctg, paper_table1_configs
@@ -149,12 +149,3 @@ def runtime_spec(repeats: int = 3) -> ExperimentSpec:
         reducer=_reduce_runtime,
         timing_keys=("heuristic_seconds", "nlp_seconds"),
     )
-
-
-def run_runtime(
-    repeats: int = 3, jobs: int = 1, cache: Optional[object] = None
-) -> RuntimeResult:
-    """Time both stretching stages on the Table-1 graphs."""
-    from .engine import run_spec
-
-    return run_spec(runtime_spec(repeats), jobs=jobs, cache=cache).result

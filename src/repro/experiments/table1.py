@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..analysis import format_table, normalise
 from ..ctg import GeneratorConfig, generate_ctg, paper_table1_configs
@@ -210,14 +210,3 @@ def table1_spec(
         reducer=_reduce_table1,
         timing_keys=("online_runtime", "reference_2_runtime"),
     )
-
-
-def run_table1(
-    deadline_factor: float = TABLE1_DEADLINE_FACTOR,
-    jobs: int = 1,
-    cache: Optional[object] = None,
-) -> Table1Result:
-    """Regenerate Table 1 through the engine; see module docstring."""
-    from .engine import run_spec
-
-    return run_spec(table1_spec(deadline_factor), jobs=jobs, cache=cache).result

@@ -18,7 +18,7 @@ entries invalidate whenever the workload model changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..adaptive import AdaptiveConfig
 from ..analysis import format_table, percent_savings
@@ -151,18 +151,3 @@ def table3_spec(
         reducer=_reduce_table3,
         context={"instance": instance_fingerprint(cruise_ctg(), cruise_platform())},
     )
-
-
-def run_table3(
-    length: int = 1000,
-    deadline_factor: float = CRUISE_DEADLINE_FACTOR,
-    sequences: Tuple[Tuple[int, float], ...] = CRUISE_SEQUENCES,
-    jobs: int = 1,
-    cache: Optional[object] = None,
-) -> Table3Result:
-    """Regenerate Table 3 through the engine; see module docstring."""
-    from .engine import run_spec
-
-    return run_spec(
-        table3_spec(length, deadline_factor, sequences), jobs=jobs, cache=cache
-    ).result

@@ -213,40 +213,3 @@ def bias_spec(
         cell_function=bias_cell,
         reducer=_reduce_bias,
     )
-
-
-def run_bias_experiment(
-    mode: str,
-    thresholds: Sequence[float] = TABLE45_THRESHOLDS,
-    deadline_factor: float = TABLE45_DEADLINE_FACTOR,
-    bias: float = TABLE45_BIAS,
-    trace_length: int = TABLE45_TRACE_LENGTH,
-    jobs: int = 1,
-    cache: Optional[object] = None,
-) -> BiasResult:
-    """Run one profiling mode over the ten Tables-4/5 graphs."""
-    from .engine import run_spec
-
-    spec = bias_spec(
-        mode,
-        thresholds=thresholds,
-        deadline_factor=deadline_factor,
-        bias=bias,
-        trace_length=trace_length,
-    )
-    return run_spec(spec, jobs=jobs, cache=cache).result
-
-
-def run_table4(**kwargs) -> BiasResult:
-    """Table 4: online profiled for the lowest-energy minterm."""
-    return run_bias_experiment("lowest", **kwargs)
-
-
-def run_table5(**kwargs) -> BiasResult:
-    """Table 5: online profiled for the highest-energy minterm."""
-    return run_bias_experiment("highest", **kwargs)
-
-
-def run_figure6(thresholds: Sequence[float] = (0.5,), **kwargs) -> BiasResult:
-    """Figure 6: online with ideal (accurate) profiling, T = 0.5."""
-    return run_bias_experiment("ideal", thresholds=thresholds, **kwargs)

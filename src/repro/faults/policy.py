@@ -1,9 +1,10 @@
 """Degradation policies: what the adaptive loop does about faults.
 
 A :class:`DegradationPolicy` configures the graceful-degradation
-behaviour of the faulted simulation path (``run_faulted`` in
-:mod:`repro.sim.runner` and ``InstanceExecutor.run_faulted`` in
-:mod:`repro.sim.executor`):
+behaviour of the faulted simulation path: ``run_faulted`` hands it,
+with a fault injector, to the one trace loop of
+:mod:`repro.sim.runner`, which applies it per instance through
+``InstanceExecutor.run_faulted`` (:mod:`repro.sim.executor`):
 
 * **escalation** — a per-task watchdog fires when a task is still
   executing ``overrun_margin`` (relative) past its scheduled duration,

@@ -7,21 +7,24 @@ branch decision vector per CTG instance) is replayed against
   training probabilities and kept for the whole run ("online" in the
   paper's tables), and
 * the **adaptive** policy — the same online algorithm re-invoked by the
-  windowed threshold controller as statistics drift.
+  windowed threshold controller as statistics drift — optionally with
+  faults injected (:func:`run_faulted`).
 
-Both report total/mean energy, per-instance energies, deadline misses
-and (for the adaptive policy) the number of re-scheduling calls.
+All three report total/mean energy, per-instance energies, deadline
+misses and (adaptive) the number of re-scheduling calls.  They share
+one trace loop, :func:`_replay`; what varies is data — an optional
+controller and an optional fault injector — not a mode flag.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..adaptive.controller import AdaptiveConfig, AdaptiveController
 from ..ctg.graph import ConditionalTaskGraph
-from ..faults.injectors import FaultInjector, rotate_label
+from ..faults.injectors import FaultInjector, InstanceFaults, rotate_label
 from ..faults.log import FaultLog, RecoveryAction
 from ..faults.plan import FaultPlan
 from ..faults.policy import DegradationPolicy
@@ -30,39 +33,9 @@ from ..platform.mpsoc import Platform
 from ..profiling import StageProfiler
 from ..scheduling.online import schedule_online
 from ..scheduling.policies import SpeedPolicy, resolve_speed_policy
+from ..scheduling.schedule import Schedule
 from .executor import InstanceExecutor
 from .vectors import Trace
-
-
-class _ExecutionTimeSampler:
-    """Per-instance execution-time ratio sampler.
-
-    Draws one WCET ratio per profiled task per instance from the
-    platform's :class:`~repro.platform.distributions
-    .ExecutionTimeDistribution` objects (sorted task order, one seeded
-    stream — deterministic for a given seed).  ``None``-like (inactive)
-    when the platform carries no profiles.
-    """
-
-    def __init__(self, platform: Platform, seed: int) -> None:
-        self._profiles = platform.execution_profiles()
-        self._rng = random.Random(seed)
-
-    @property
-    def active(self) -> bool:
-        return bool(self._profiles)
-
-    def draw(self) -> Dict[str, float]:
-        return {task: dist.sample(self._rng) for task, dist in self._profiles}
-
-
-def _advance_sim_offset(tracer: Tracer, ctg: ConditionalTaskGraph, finish: float) -> None:
-    """Move the simulated-time origin past the instance just executed
-    so successive instances render end to end on the trace timeline
-    (the CTG's period equals its deadline; deadline-free graphs advance
-    by the instance's own finish time)."""
-    period = ctg.deadline if ctg.deadline > 0 else finish
-    tracer.sim_offset += period
 
 
 @dataclass
@@ -127,6 +100,37 @@ class RunResult:
         return (baseline.total_energy - self.total_energy) / self.reschedule_calls
 
 
+def _setup(
+    ctg: ConditionalTaskGraph,
+    deadline: Optional[float],
+    tracer: Optional[Tracer],
+    speed_policy: Union[None, str, SpeedPolicy],
+) -> Tuple[ConditionalTaskGraph, StageProfiler, SpeedPolicy]:
+    """The graph to run (a private copy when ``deadline`` overrides
+    its own), the run's profiler and the resolved speed policy."""
+    if deadline is not None:
+        ctg = ctg.copy()
+        ctg.deadline = deadline
+    stats = StageProfiler(tracer=as_tracer(tracer))
+    return ctg, stats, resolve_speed_policy(speed_policy)
+
+
+def _ratio_sampler(
+    platform: Platform, et_seed: Optional[int]
+) -> Optional[Callable[[], Dict[str, float]]]:
+    """Per-instance execution-time ratio sampler: each call draws one
+    WCET ratio per profiled task from the platform's
+    :class:`~repro.platform.distributions.ExecutionTimeDistribution`
+    objects (sorted task order, one stream seeded with ``et_seed``).
+    ``None`` when ``et_seed`` is unset or the platform carries no
+    profiles."""
+    profiles = platform.execution_profiles() if et_seed is not None else []
+    if not profiles:
+        return None
+    rng = random.Random(et_seed)
+    return lambda: {task: dist.sample(rng) for task, dist in profiles}
+
+
 def run_non_adaptive(
     ctg: ConditionalTaskGraph,
     platform: Platform,
@@ -152,35 +156,10 @@ def run_non_adaptive(
     each instance then replays sampled WCET ratios through the
     executor's dynamic path.
     """
-    if deadline is not None:
-        ctg = ctg.copy()
-        ctg.deadline = deadline
-    trc = as_tracer(tracer)
-    stats = StageProfiler(tracer=trc)
-    pol = resolve_speed_policy(speed_policy)
-    sampler = (
-        _ExecutionTimeSampler(platform, et_seed) if et_seed is not None else None
-    )
-    if sampler is not None and not sampler.active:
-        sampler = None
-    online = schedule_online(
-        ctg, platform, probabilities, profiler=stats, speed_policy=pol
-    )
-    executor = InstanceExecutor(
-        online.schedule, profiler=stats, speed_policy=pol
-    )
-    result = RunResult(profile=stats)
-    for vector in trace:
-        if sampler is not None:
-            outcome = executor.run(vector, work_ratios=sampler.draw())
-        else:
-            outcome = executor.run(vector)
-        result.energies.append(outcome.energy)
-        if not outcome.deadline_met:
-            result.deadline_misses += 1
-        if trc.enabled:
-            _advance_sim_offset(trc, ctg, outcome.finish_time)
-    return result
+    ctg, stats, pol = _setup(ctg, deadline, tracer, speed_policy)
+    online = schedule_online(ctg, platform, probabilities, profiler=stats, speed_policy=pol)
+    sample_ratios = _ratio_sampler(platform, et_seed)
+    return _replay(ctg, trace, online.schedule, stats, pol, sample_ratios=sample_ratios)
 
 
 def run_adaptive(
@@ -207,19 +186,10 @@ def run_adaptive(
     instance — the config is mutable).  ``tracer`` (optional) records
     the run's span/event timeline — scheduling stages, per-task
     simulated spans, a ``sim.reschedule`` event at every schedule
-    swap — without changing the ``profile`` dicts.
+    swap — without changing the ``profile`` dicts.  A re-schedule that
+    fails raises its :class:`~repro.scheduling.schedule.SchedulingError`.
     """
-    if deadline is not None:
-        ctg = ctg.copy()
-        ctg.deadline = deadline
-    trc = as_tracer(tracer)
-    stats = StageProfiler(tracer=trc)
-    pol = resolve_speed_policy(speed_policy)
-    sampler = (
-        _ExecutionTimeSampler(platform, et_seed) if et_seed is not None else None
-    )
-    if sampler is not None and not sampler.active:
-        sampler = None
+    ctg, stats, pol = _setup(ctg, deadline, tracer, speed_policy)
     controller = AdaptiveController(
         ctg,
         platform,
@@ -229,39 +199,16 @@ def run_adaptive(
         stage_profiler=stats,
         speed_policy=pol,
     )
-    executor = InstanceExecutor(
-        controller.schedule, profiler=stats, speed_policy=pol
+    sample_ratios = _ratio_sampler(platform, et_seed)
+    return _replay(
+        ctg,
+        trace,
+        controller.schedule,
+        stats,
+        pol,
+        controller=controller,
+        sample_ratios=sample_ratios,
     )
-    branches = ctg.branch_nodes()
-    result = RunResult(profile=stats)
-    for index, vector in enumerate(trace):
-        if sampler is not None:
-            outcome = executor.run(vector, work_ratios=sampler.draw())
-        else:
-            outcome = executor.run(vector)
-        result.energies.append(outcome.energy)
-        if not outcome.deadline_met:
-            result.deadline_misses += 1
-        executed = {
-            b: vector[b] for b in branches if b in outcome.scenario.active
-        }
-        if controller.observe(executed):
-            executor = InstanceExecutor(
-                controller.schedule, profiler=stats, speed_policy=pol
-            )
-            if trc.enabled:
-                trc.event(
-                    "sim.reschedule",
-                    ts=outcome.finish_time,
-                    category="sim.event",
-                    instance=index + 1,
-                    call=controller.calls,
-                )
-        if trc.enabled:
-            _advance_sim_offset(trc, ctg, outcome.finish_time)
-    result.reschedule_calls = controller.calls
-    result.call_instances = list(controller.call_log)
-    return result
 
 
 def run_faulted(
@@ -314,14 +261,7 @@ def run_faulted(
     the simulated timeline (``sim.fault`` / ``sim.escalation`` /
     ``sim.recovered`` / ``sim.unrecovered`` / ``sim.reschedule``).
     """
-    if policy is None:
-        policy = DegradationPolicy.default()
-    if deadline is not None:
-        ctg = ctg.copy()
-        ctg.deadline = deadline
-    trc = as_tracer(tracer)
-    stats = StageProfiler(tracer=trc)
-    pol = resolve_speed_policy(speed_policy)
+    ctg, stats, pol = _setup(ctg, deadline, tracer, speed_policy)
     controller = AdaptiveController(
         ctg,
         platform,
@@ -331,160 +271,203 @@ def run_faulted(
         stage_profiler=stats,
         speed_policy=pol,
     )
-    injector = FaultInjector(plan, ctg=ctg, platform=platform)
-    executor = InstanceExecutor(
-        controller.schedule, profiler=stats, speed_policy=pol
+    return _replay(
+        ctg,
+        trace,
+        controller.schedule,
+        stats,
+        pol,
+        controller=controller,
+        injector=FaultInjector(plan, ctg=ctg, platform=platform),
+        policy=policy if policy is not None else DegradationPolicy.default(),
     )
+
+
+def _replay(
+    ctg: ConditionalTaskGraph,
+    trace: Trace,
+    schedule: Schedule,
+    stats: StageProfiler,
+    pol: SpeedPolicy,
+    controller: Optional[AdaptiveController] = None,
+    injector: Optional[FaultInjector] = None,
+    policy: Optional[DegradationPolicy] = None,
+    sample_ratios: Optional[Callable[[], Dict[str, float]]] = None,
+) -> RunResult:
+    """The one trace loop behind the three public runners.
+
+    Each instance executes under the current schedule — with sampled
+    work ratios when ``sample_ratios`` is given, or through the faulted
+    two-arm replay under ``policy`` when ``injector`` is, in which case
+    every fault, threat and reaction is logged in the result's
+    ``fault_log``.  With a ``controller``, the executed (under faults:
+    possibly corrupted) branch decisions go to its windows and a
+    re-schedule swaps the executor from the next instance on; a failing
+    re-schedule raises in a fault-free run and installs the full-speed
+    fallback in a faulted one.  When traced, each instance's simulated
+    timeline starts one period (the deadline) after the previous one.
+    """
+    trc = stats.tracer
+    executor = InstanceExecutor(schedule, profiler=stats, speed_policy=pol)
     branches = ctg.branch_nodes()
-    outcomes = {b: ctg.outcomes_of(b) for b in branches}
-    log = FaultLog()
+    log = FaultLog() if injector is not None else None
+    on_error = "fallback" if injector is not None else "raise"
     result = RunResult(profile=stats, fault_log=log)
     # one pending (dropped/delayed) re-schedule incident at a time:
     # [due_instance, attempts_left, current_backoff]
     pending: Optional[List[int]] = None
-    sim_cursor = 0.0
 
     for index, vector in enumerate(trace):
-        if trc.enabled:
-            trc.sim_offset = sim_cursor
-        faults = injector.faults_at(index)
-        for event in faults.events:
-            log.record(event)
-            if trc.enabled:
-                trc.event(
-                    "sim.fault",
-                    ts=0.0,
-                    category="sim.event",
-                    instance=index,
-                    kind=event.kind,
-                    target=event.target,
-                    severity=event.severity,
-                )
-        if not faults.empty:
-            stats.count("fault.injected", len(faults.events))
-
-        outcome = executor.run_faulted(vector, faults, policy)
+        faults = injector.faults_at(index) if injector is not None else None
+        if faults is None:
+            ratios = sample_ratios() if sample_ratios is not None else None
+            outcome = executor.run(vector, work_ratios=ratios)
+        else:
+            for event in faults.events:
+                log.record(event)
+                if trc.enabled:
+                    trc.event(
+                        "sim.fault",
+                        ts=0.0,
+                        category="sim.event",
+                        instance=index,
+                        kind=event.kind,
+                        target=event.target,
+                        severity=event.severity,
+                    )
+            if not faults.empty:
+                stats.count("fault.injected", len(faults.events))
+            outcome = executor.run_faulted(vector, faults, policy)
         result.energies.append(outcome.energy)
-        if trc.enabled:
-            sim_cursor += ctg.deadline if ctg.deadline > 0 else outcome.finish_time
         if not outcome.deadline_met:
             result.deadline_misses += 1
-            if outcome.quantization_loss:
-                log.quantization_losses += 1
-                stats.count("fault.quantization_loss")
-            else:
-                log.unrecovered += 1
-        threatened = outcome.baseline_deadline_met is False
-        if threatened:
-            log.threatened += 1
-            stats.count("fault.threatened")
-            if outcome.deadline_met:
-                log.recovered += 1
-                log.act(RecoveryAction(index, "recovered"))
-            elif outcome.quantization_loss:
-                log.act(RecoveryAction(index, "quantization_loss"))
-            else:
-                log.act(RecoveryAction(index, "unrecovered"))
-            if trc.enabled:
-                trc.event(
-                    "sim.recovered" if outcome.deadline_met else "sim.unrecovered",
-                    ts=outcome.finish_time,
-                    category="sim.event",
-                    instance=index,
-                )
-        if outcome.baseline_energy is not None:
-            log.policy_energy += outcome.energy
-            log.baseline_energy += outcome.baseline_energy
-        if outcome.overrun_detected:
-            log.act(
-                RecoveryAction(
-                    index, "escalate", f"{len(outcome.escalated)} tasks to max speed"
-                )
+        if log is not None:
+            _log_outcome(outcome, index, log, stats)
+
+        if controller is not None:
+            # the estimator sees the (possibly corrupted) observations
+            observed = {}
+            for branch in branches:
+                if branch not in outcome.scenario.active:
+                    continue
+                label = vector[branch]
+                rotation = 0 if faults is None else faults.branch_rotations.get(branch, 0)
+                if rotation:
+                    label = rotate_label(ctg.outcomes_of(branch), label, rotation)
+                    stats.count("fault.corrupted_observations")
+                observed[branch] = label
+            controller.record(observed)
+            wants = controller.wants_reschedule()
+            emergency = bool(
+                policy is not None and policy.emergency_reschedule and not outcome.deadline_met
             )
-            stats.count("fault.escalations")
-            if trc.enabled:
-                trc.event(
-                    "sim.escalation",
-                    ts=outcome.finish_time,
-                    category="sim.event",
-                    instance=index,
-                    escalated=len(outcome.escalated),
+            due = wants or emergency or (pending is not None and index >= pending[0])
+            lost = faults is not None and (faults.drop_reschedule or faults.delay_reschedule)
+            if due and lost:
+                pending = _defer_reschedule(pending, faults, policy, index, log, stats)
+            elif due:
+                if emergency and not wants:
+                    log.act(RecoveryAction(index, "emergency_reschedule"))
+                used_fallback = controller.reschedule(emergency=emergency, on_error=on_error)
+                if used_fallback:
+                    log.act(RecoveryAction(index, "fallback_schedule"))
+                executor = InstanceExecutor(
+                    controller.schedule, profiler=stats, speed_policy=pol
                 )
+                if trc.enabled:
+                    # numbered like call_instances: the controller's count, from 1
+                    trc.event(
+                        "sim.reschedule",
+                        ts=outcome.finish_time,
+                        category="sim.event",
+                        instance=controller.call_log[-1],
+                        call=controller.calls,
+                        emergency=emergency,
+                        fallback=used_fallback,
+                    )
+                pending = None
 
-        # estimator sees the (possibly corrupted) observations
-        observed: dict = {}
-        for branch in branches:
-            if branch not in outcome.scenario.active:
-                continue
-            label = vector[branch]
-            rotation = faults.branch_rotations.get(branch, 0)
-            if rotation:
-                label = rotate_label(outcomes[branch], label, rotation)
-                stats.count("fault.corrupted_observations")
-            observed[branch] = label
-        controller.record(observed)
+        if trc.enabled:
+            trc.sim_offset += ctg.deadline if ctg.deadline > 0 else outcome.finish_time
 
-        wants = controller.wants_reschedule()
-        retry_due = pending is not None and index >= pending[0]
-        emergency = bool(policy.emergency_reschedule and not outcome.deadline_met)
-        if not (wants or retry_due or emergency):
-            continue
-        if faults.drop_reschedule or faults.delay_reschedule:
-            # the invocation is lost (drop) or deferred (delay)
-            if faults.drop_reschedule:
-                stats.count("reschedule.dropped")
-                defer = policy.retry_backoff
-            else:
-                stats.count("reschedule.delayed")
-                defer = faults.delay_reschedule
-            if pending is None:
-                pending = [index + defer, policy.max_retries, defer]
-                log.act(
-                    RecoveryAction(
-                        index, "reschedule_retry", f"retry at instance {pending[0]}"
-                    )
-                )
-            else:
-                pending[1] -= 1
-                if pending[1] <= 0:
-                    log.act(
-                        RecoveryAction(index, "reschedule_retry", "retries exhausted")
-                    )
-                    pending = None
-                else:
-                    pending[2] *= 2
-                    pending[0] = index + pending[2]
-                    log.act(
-                        RecoveryAction(
-                            index,
-                            "reschedule_retry",
-                            f"retry at instance {pending[0]}",
-                        )
-                    )
-            continue
-        if emergency and not wants:
-            log.act(RecoveryAction(index, "emergency_reschedule"))
-        used_fallback = controller.reschedule(emergency=emergency, on_error="fallback")
-        if used_fallback:
-            log.act(RecoveryAction(index, "fallback_schedule"))
-        executor = InstanceExecutor(
-            controller.schedule, profiler=stats, speed_policy=pol
-        )
+    if controller is not None:
+        result.reschedule_calls = controller.calls
+        result.call_instances = list(controller.call_log)
+    return result
+
+
+def _log_outcome(outcome, index: int, log: FaultLog, stats: StageProfiler) -> None:
+    """Miss, threat, recovery, energy and escalation accounting of one
+    faulted instance."""
+    trc = stats.tracer
+    if not outcome.deadline_met:
+        if outcome.quantization_loss:
+            log.quantization_losses += 1
+            stats.count("fault.quantization_loss")
+        else:
+            log.unrecovered += 1
+    if outcome.baseline_deadline_met is False:  # threatened
+        log.threatened += 1
+        stats.count("fault.threatened")
+        if outcome.deadline_met:
+            log.recovered += 1
+            log.act(RecoveryAction(index, "recovered"))
+        elif outcome.quantization_loss:
+            log.act(RecoveryAction(index, "quantization_loss"))
+        else:
+            log.act(RecoveryAction(index, "unrecovered"))
         if trc.enabled:
             trc.event(
-                "sim.reschedule",
+                "sim.recovered" if outcome.deadline_met else "sim.unrecovered",
                 ts=outcome.finish_time,
                 category="sim.event",
                 instance=index,
-                call=controller.calls,
-                emergency=emergency,
-                fallback=used_fallback,
             )
-        pending = None
+    if outcome.baseline_energy is not None:
+        log.policy_energy += outcome.energy
+        log.baseline_energy += outcome.baseline_energy
+    if outcome.overrun_detected:
+        escalated = f"{len(outcome.escalated)} tasks to max speed"
+        log.act(RecoveryAction(index, "escalate", escalated))
+        stats.count("fault.escalations")
+        if trc.enabled:
+            trc.event(
+                "sim.escalation",
+                ts=outcome.finish_time,
+                category="sim.event",
+                instance=index,
+                escalated=len(outcome.escalated),
+            )
 
-    result.reschedule_calls = controller.calls
-    result.call_instances = list(controller.call_log)
-    return result
+
+def _defer_reschedule(
+    pending: Optional[List[int]],
+    faults: InstanceFaults,
+    policy: DegradationPolicy,
+    index: int,
+    log: FaultLog,
+    stats: StageProfiler,
+) -> Optional[List[int]]:
+    """A re-schedule invocation lost (drop) or deferred (delay) at
+    instance ``index``: open, back off or give up the pending retry
+    incident, and return it."""
+    if faults.drop_reschedule:
+        stats.count("reschedule.dropped")
+        defer = policy.retry_backoff
+    else:
+        stats.count("reschedule.delayed")
+        defer = faults.delay_reschedule
+    if pending is None:
+        pending = [index + defer, policy.max_retries, defer]
+    else:
+        pending[1] -= 1
+        if pending[1] <= 0:
+            log.act(RecoveryAction(index, "reschedule_retry", "retries exhausted"))
+            return None
+        pending[2] *= 2
+        pending[0] = index + pending[2]
+    log.act(RecoveryAction(index, "reschedule_retry", f"retry at instance {pending[0]}"))
+    return pending
 
 
 def energy_savings(non_adaptive: RunResult, adaptive: RunResult) -> float:

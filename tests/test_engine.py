@@ -13,8 +13,8 @@ from repro.experiments import (
     ExperimentSpec,
     SpecError,
     derive_cell_seeds,
+    figure4_spec,
     robustness_spec,
-    run_seed_robustness,
     run_spec,
 )
 from repro.adaptive import AdaptiveConfig
@@ -238,14 +238,16 @@ class TestBitIdentityWithLegacyLoop:
                 )
             )
 
-        result = run_seed_robustness(
+        spec = robustness_spec(
             seeds=seeds, threshold=threshold, length=length, deadline_factor=factor
         )
+        result = run_spec(spec, jobs=1).result
         assert list(zip(result.savings_percent, result.calls)) == expected
 
     def test_jobs_do_not_change_numbers(self):
-        serial = run_seed_robustness(seeds=(20, 21), length=200)
-        parallel = run_seed_robustness(seeds=(20, 21), length=200, jobs=2)
+        spec = robustness_spec(seeds=(20, 21), length=200)
+        serial = run_spec(spec, jobs=1).result
+        parallel = run_spec(spec, jobs=2).result
         assert parallel.savings_percent == serial.savings_percent
         assert parallel.calls == serial.calls
 
@@ -267,9 +269,7 @@ class TestPicklability:
         assert clone == result
 
     def test_experiment_results_round_trip(self):
-        from repro.experiments import run_figure4
-
-        result = run_figure4(length=120)
+        result = run_spec(figure4_spec(length=120), jobs=1).result
         clone = pickle.loads(pickle.dumps(result))
         assert clone.selections == result.selections
         assert clone.filtered == result.filtered

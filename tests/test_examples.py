@@ -2,9 +2,12 @@
 
 Only the fast examples run here (the MPEG/WLAN ones replay thousands
 of instances and belong to the benchmark tier); each is executed in a
-subprocess exactly as a user would run it.
+subprocess exactly as a user would run it.  Every example, the slow
+ones included, is also imported, so a renamed or deleted library name
+fails here rather than only when the script is run.
 """
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -55,3 +58,14 @@ class TestExamples:
         assert (tmp_path / "mpeg_schedule.svg").exists()
         assert (tmp_path / "mpeg_instance.json").exists()
         assert "Per-scenario execution profile" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "path", sorted(EXAMPLES.glob("*.py")), ids=lambda path: path.name
+)
+def test_example_imports(path):
+    """Importing runs nothing: every example guards ``main()``."""
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)

@@ -10,12 +10,20 @@ import pytest
 
 from repro.adaptive.controller import AdaptiveConfig
 from repro.experiments.chaos import fault_plan_catalogue
+from repro.faults import FaultPlan
 from repro.obs import NULL_TRACER, Span, Tracer, as_tracer
 from repro.profiling import EVENT_COUNTERS, NULL_PROFILER, StageProfiler
 from repro.scheduling.online import set_deadline_from_makespan
 from repro.sim import empirical_distribution
 from repro.sim.runner import run_adaptive, run_faulted, run_non_adaptive
-from repro.workloads import movie_trace, mpeg_ctg, mpeg_platform
+from repro.workloads import (
+    cruise_ctg,
+    cruise_platform,
+    drifting_trace,
+    movie_trace,
+    mpeg_ctg,
+    mpeg_platform,
+)
 
 
 class TestTracerBasics:
@@ -370,3 +378,38 @@ class TestTraceContents:
         recovered = counts.get("sim.recovered", 0)
         unrecovered = counts.get("sim.unrecovered", 0)
         assert recovered + unrecovered == result.profile.counters["fault.threatened"]
+
+
+class TestRescheduleEventInstance:
+    """``sim.reschedule`` numbers instances like the controller does —
+    from 1, the same numbers as ``call_instances`` — in fault-free and
+    faulted runs alike."""
+
+    @pytest.fixture(scope="class")
+    def cruise_problem(self):
+        ctg = cruise_ctg()
+        platform = cruise_platform()
+        set_deadline_from_makespan(ctg, platform, 1.6)
+        trace = drifting_trace(ctg, 400, seed=7)
+        return ctg, platform, trace[100:], empirical_distribution(ctg, trace[:100])
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["adaptive", "faulted"])
+    def test_reschedule_instances_equal_call_instances(self, cruise_problem, faulted):
+        ctg, platform, test, probabilities = cruise_problem
+        tracer = Tracer()
+        if faulted:
+            result = run_faulted(
+                ctg, platform, test, probabilities, FaultPlan("empty", 1), tracer=tracer
+            )
+        else:
+            result = run_adaptive(ctg, platform, test, probabilities, tracer=tracer)
+        events = [e for e in tracer.events if e.name == "sim.reschedule"]
+        assert result.call_instances
+        assert [e.attrs["instance"] for e in events] == result.call_instances
+        assert [e.attrs["call"] for e in events] == list(
+            range(1, result.reschedule_calls + 1)
+        )
+        assert all(
+            set(e.attrs) == {"instance", "call", "emergency", "fallback"}
+            for e in events
+        )
