@@ -1,12 +1,12 @@
 """Bench: the run-event ledger must be free when off and cheap when on.
 
-The run-telemetry layer threads an optional :class:`EventLedger`
-through the engine's streaming loop.  Two promises keep it honest:
+The run-telemetry layer threads an :class:`EventLedger` through the
+engine's streaming loop.  Two promises keep it honest:
 
-* **off** — ``run_spec(events=None)`` takes the exact pre-ledger code
-  path (every emission site is behind an ``if ledger is not None``
-  guard), so the un-ledgered sweep below is pinned by the committed
-  baseline in ``benchmarks/baselines/bench_quick.json`` via CI's
+* **off** — ``run_spec(events=None)`` emits into the shared no-op
+  ``NULL_LEDGER`` (one empty method call per emission site), so the
+  un-ledgered sweep below is pinned by the committed baseline in
+  ``benchmarks/baselines/bench_quick.json`` via CI's
   machine-calibrated bench-regression job;
 * **on** — a file-backed, write-through ledger (4 events per computed
   cell: submitted, flushed, completed, plus the sweep bookends) may

@@ -560,11 +560,7 @@ def _cmd_check_repo(args: argparse.Namespace) -> int:
     baseline_path = (
         Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE_NAME
     )
-    analysis = analyze_repo(
-        root,
-        baseline_path=baseline_path,
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-    )
+    analysis = analyze_repo(root, baseline_path=baseline_path)
 
     if args.update_baseline:
         existing = load_baseline(baseline_path)
@@ -1038,12 +1034,6 @@ def main(argv=None) -> int:
         "--update-baseline",
         action="store_true",
         help="rewrite the baseline to waive every current --repo finding",
-    )
-    check.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="cache the parsed call graph here, keyed on source fingerprints",
     )
     check.set_defaults(func=_cmd_check)
 

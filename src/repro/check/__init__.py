@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis aid only
     from .api import CheckError, assert_clean, check_instance, verify_schedule
     from .baseline import Waiver, apply_baseline, load_baseline, write_baseline
     from .cache_checks import check_pathcache
-    from .callgraph import CallGraph, build_callgraph, load_or_build_callgraph
+    from .callgraph import CallGraph, build_callgraph
     from .ctg_checks import check_ctg, check_probability_table
     from .fault_checks import check_fault_plan
     from .feasibility import check_scenario_feasibility, scenario_finish_time
@@ -58,7 +58,6 @@ _LAZY = {
     "check_fault_plan": "fault_checks",
     "CallGraph": "callgraph",
     "build_callgraph": "callgraph",
-    "load_or_build_callgraph": "callgraph",
     "analyze_modules": "flow",
     "analyze_source": "flow",
     "RepoAnalysis": "repo",

@@ -26,17 +26,15 @@ registered as an ``ExperimentSpec`` ``cell_function`` or ``reducer`` —
 their return values are fingerprinted, cached and folded into
 artifacts, so everything they can call is on a canonical path.
 
-Construction is **byte-stable**: files are processed in sorted order
-and every output collection is sorted, so the serialised payload (and
-therefore the disk cache, keyed on a fingerprint of the sources) is
-identical across runs, platforms and input orderings.
+Construction is **order-independent**: files are processed in sorted
+order and every output collection is sorted, so the graph (and every
+finding derived from it) is identical across runs, platforms and input
+orderings.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
@@ -76,16 +74,6 @@ class FunctionInfo:
     lineno: int
     col: int
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "module": self.module,
-            "name": self.name,
-            "path": self.path,
-            "lineno": self.lineno,
-            "col": self.col,
-        }
-
 
 @dataclass(frozen=True)
 class CellRegistration:
@@ -97,16 +85,6 @@ class CellRegistration:
     path: str
     lineno: int
     col: int
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "role": self.role,
-            "qualname": self.qualname,
-            "kind": self.kind,
-            "path": self.path,
-            "lineno": self.lineno,
-            "col": self.col,
-        }
 
 
 @dataclass
@@ -319,7 +297,6 @@ class CallGraph:
     edges: Dict[str, Tuple[str, ...]]
     registrations: Tuple[CellRegistration, ...]
     set_attrs: FrozenSet[str]
-    source_fingerprint: str = ""
 
     # -- queries ---------------------------------------------------------
     def cell_functions(self) -> Tuple[str, ...]:
@@ -349,43 +326,6 @@ class CallGraph:
                     seen.add(callee)
                     frontier.append(callee)
         return frozenset(seen)
-
-    # -- serialisation ---------------------------------------------------
-    def to_payload(self) -> Dict[str, object]:
-        """JSON-ready, byte-stable representation (sorted everywhere)."""
-        return {
-            "version": 1,
-            "source_fingerprint": self.source_fingerprint,
-            "functions": [
-                self.functions[q].to_dict() for q in sorted(self.functions)
-            ],
-            "edges": {
-                caller: list(callees)
-                for caller, callees in sorted(self.edges.items())
-            },
-            "registrations": [r.to_dict() for r in self.registrations],
-            "set_attrs": sorted(self.set_attrs),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "CallGraph":
-        functions = {
-            rec["qualname"]: FunctionInfo(**rec) for rec in payload["functions"]
-        }
-        edges = {
-            caller: tuple(callees)
-            for caller, callees in payload["edges"].items()
-        }
-        registrations = tuple(
-            CellRegistration(**rec) for rec in payload["registrations"]
-        )
-        return cls(
-            functions=functions,
-            edges=edges,
-            registrations=registrations,
-            set_attrs=frozenset(payload["set_attrs"]),
-            source_fingerprint=str(payload.get("source_fingerprint", "")),
-        )
 
 
 class _CallCollector(ast.NodeVisitor):
@@ -520,18 +460,7 @@ class _GraphBuilder:
         return set()
 
 
-def sources_fingerprint(files: Sequence[Path], src_root: Path) -> str:
-    """SHA-256 over (module name, content hash) pairs, order-independent."""
-    records = []
-    for path in sorted(files, key=lambda p: p.resolve().as_posix()):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        records.append(f"{module_name_for(path, src_root)}={digest}")
-    return hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
-
-
-def build_callgraph(
-    modules: Mapping[str, ModuleInfo], source_fingerprint: str = ""
-) -> CallGraph:
+def build_callgraph(modules: Mapping[str, ModuleInfo]) -> CallGraph:
     """Extract the call graph from already-parsed modules."""
     builder = _GraphBuilder(modules)
     functions: Dict[str, FunctionInfo] = {}
@@ -576,36 +505,4 @@ def build_callgraph(
         edges=edges,
         registrations=tuple(registrations),
         set_attrs=frozenset(set_attrs),
-        source_fingerprint=source_fingerprint,
     )
-
-
-def load_or_build_callgraph(
-    files: Sequence[Path],
-    src_root: Path,
-    cache_dir: Optional[Path] = None,
-) -> CallGraph:
-    """Build the graph, serving it from ``cache_dir`` when the sources
-    are unchanged (the cache key is :func:`sources_fingerprint`)."""
-    fingerprint = sources_fingerprint(files, src_root)
-    cache_path = None
-    if cache_dir is not None:
-        cache_path = Path(cache_dir) / f"callgraph-{fingerprint[:32]}.json"
-        if cache_path.exists():
-            try:
-                payload = json.loads(cache_path.read_text(encoding="utf-8"))
-                if payload.get("source_fingerprint") == fingerprint:
-                    return CallGraph.from_payload(payload)
-            except (ValueError, KeyError, TypeError):
-                pass  # corrupt cache entry: rebuild below and overwrite
-    modules = parse_modules(files, src_root)
-    graph = build_callgraph(modules, source_fingerprint=fingerprint)
-    if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = cache_path.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(graph.to_payload(), indent=None, sort_keys=True),
-            encoding="utf-8",
-        )
-        tmp.replace(cache_path)
-    return graph

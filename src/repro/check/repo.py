@@ -8,10 +8,8 @@ waiver baseline (:mod:`repro.check.baseline`).  The result renders as
 text, JSON or SARIF (:mod:`repro.check.sarif`) and gates CI: any
 unwaived error-severity finding fails the job.
 
-The call graph is the expensive part; pass ``cache_dir`` to serve it
-from disk when the sources are unchanged (the key is a fingerprint over
-every analysed file, see
-:func:`repro.check.callgraph.sources_fingerprint`).
+The package sources are parsed once; the call graph and the flow rules
+both read those parsed modules.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from .baseline import (
     apply_baseline,
     load_baseline,
 )
-from .callgraph import CallGraph, load_or_build_callgraph, parse_modules
+from .callgraph import CallGraph, build_callgraph, parse_modules
 from .diagnostics import CheckReport, Diagnostic, Severity
 from .flow import analyze_modules
 
@@ -59,10 +57,6 @@ class RepoAnalysis:
         return self.report.ok
 
 
-def _flow_files(flow_root: Path) -> List[Path]:
-    return sorted(flow_root.rglob("*.py"))
-
-
 def _relativize(diagnostic: Diagnostic, root: Path) -> Diagnostic:
     """Rewrite a ``path:line:col`` subject relative to the repo root."""
     parts = diagnostic.subject.rsplit(":", 2)
@@ -86,7 +80,6 @@ def analyze_repo(
     src_root: str = DEFAULT_SRC_ROOT,
     lint_paths: Sequence[str] = DEFAULT_LINT_PATHS,
     baseline_path: Optional[Path] = None,
-    cache_dir: Optional[Path] = None,
 ) -> RepoAnalysis:
     """Run the full static-analysis stack over a repository checkout."""
     root = Path(root)
@@ -99,11 +92,8 @@ def analyze_repo(
     graph: Optional[CallGraph] = None
     flow_dir = root / flow_root
     if flow_dir.exists():
-        files = _flow_files(flow_dir)
-        graph = load_or_build_callgraph(
-            files, root / src_root, cache_dir=cache_dir
-        )
-        modules = parse_modules(files, root / src_root)
+        modules = parse_modules(sorted(flow_dir.rglob("*.py")), root / src_root)
+        graph = build_callgraph(modules)
         diagnostics.extend(analyze_modules(modules, graph))
 
     # subjects become root-relative so baselines, SARIF URIs and CI

@@ -234,8 +234,9 @@ def run_spec(
         out-of-order payloads); ``None`` picks 1 for serial runs and
         ``max(8, 2 * jobs)`` otherwise.
     events:
-        ``None`` (no ledger), a path to an ``events.jsonl`` file (the
-        engine opens and closes it), or a live
+        ``None`` (no ledger: the run emits into
+        :data:`~repro.obs.events.NULL_LEDGER`), a path to an
+        ``events.jsonl`` file (the engine opens and closes it), or a live
         :class:`~repro.obs.events.EventLedger` (shared by the caller,
         e.g. across a multi-experiment ``repro run``).  The run's
         lifecycle and per-cell stream progress are appended as they
@@ -256,7 +257,7 @@ def run_spec(
             ledger=ledger,
         )
     finally:
-        if owned and ledger is not None:
+        if owned:
             ledger.close()
 
 
@@ -267,7 +268,7 @@ def _run_spec(
     tracer: Optional[Tracer],
     resume: bool,
     reorder_window: Optional[int],
-    ledger: Optional[EventLedger],
+    ledger: EventLedger,
 ) -> ExperimentReport:
     started = time.perf_counter()
     effective_jobs = os.cpu_count() or 1 if jobs is None else int(jobs)
@@ -292,14 +293,13 @@ def _run_spec(
         else (0, 0, 0, 0)
     )
 
-    if ledger is not None:
-        ledger.emit(
-            "sweep.started",
-            experiment=spec.name,
-            cells=len(spec.cells),
-            jobs=effective_jobs,
-            backend=store.describe() if store else "",
-        )
+    ledger.emit(
+        "sweep.started",
+        experiment=spec.name,
+        cells=len(spec.cells),
+        jobs=effective_jobs,
+        backend=store.describe() if store else "",
+    )
 
     pending: List[int] = []
     for i, (cell, fp) in enumerate(zip(spec.cells, fingerprints)):
@@ -307,8 +307,7 @@ def _run_spec(
         if entry is None:
             pending.append(i)
             continue
-        if ledger is not None:
-            ledger.emit("cell.resumed" if resume else "cell.cached", key=cell.key)
+        ledger.emit("cell.resumed" if resume else "cell.cached", key=cell.key)
         results[i] = CellResult(
             key=cell.key,
             params=dict(cell.params),
@@ -327,18 +326,18 @@ def _run_spec(
     if pending:
         work = [(i, dict(spec.cells[i].params)) for i in pending]
         pool_jobs = min(effective_jobs, len(pending)) if len(pending) > 1 else 1
-        on_submit = (
-            (lambda tag: ledger.emit("cell.submitted", key=spec.cells[tag].key))
-            if ledger is not None
-            else None
-        )
         with resolve_pool(spec.cell_function, pool_jobs) as pool:
             for i, payload in stream_reorder(
-                pool, work, window, stream_stats, on_submit=on_submit
+                pool,
+                work,
+                window,
+                stream_stats,
+                on_submit=lambda tag: ledger.emit(
+                    "cell.submitted", key=spec.cells[tag].key
+                ),
             ):
                 cell = spec.cells[i]
-                if ledger is not None:
-                    ledger.emit("cell.flushed", key=cell.key)
+                ledger.emit("cell.flushed", key=cell.key)
                 result = CellResult(
                     key=cell.key,
                     params=dict(cell.params),
@@ -386,28 +385,25 @@ def _run_spec(
             cursor += result.seconds
 
     reduced = spec.reducer(cell_results)
-    if ledger is not None:
-        # canonical tail: declaration order, deterministic fields only —
-        # this is the part of the ledger CI byte-compares across jobs
-        # and resume
-        for result in cell_results:
-            ledger.emit(
-                "cell.completed", key=result.key, fingerprint=result.fingerprint
-            )
-            counters = (result.profile or {}).get("counters") or {}
-            recovery = {
-                "injected": int(counters.get("fault.injected", 0)),
-                "threatened": int(counters.get("fault.threatened", 0)),
-                "escalations": int(counters.get("fault.escalations", 0)),
-            }
-            if any(recovery.values()):
-                ledger.emit("cell.recovery", key=result.key, **recovery)
-        ledger.emit(
-            "sweep.finished",
-            experiment=spec.name,
-            cells=len(cell_results),
-            seconds=round(time.perf_counter() - started, 6),
-        )
+    # canonical tail: declaration order, deterministic fields only —
+    # this is the part of the ledger CI byte-compares across jobs and
+    # resume
+    for result in cell_results:
+        ledger.emit("cell.completed", key=result.key, fingerprint=result.fingerprint)
+        counters = (result.profile or {}).get("counters") or {}
+        recovery = {
+            "injected": int(counters.get("fault.injected", 0)),
+            "threatened": int(counters.get("fault.threatened", 0)),
+            "escalations": int(counters.get("fault.escalations", 0)),
+        }
+        if any(recovery.values()):
+            ledger.emit("cell.recovery", key=result.key, **recovery)
+    ledger.emit(
+        "sweep.finished",
+        experiment=spec.name,
+        cells=len(cell_results),
+        seconds=round(time.perf_counter() - started, 6),
+    )
     hits = len(spec.cells) - len(pending)
     stats = EngineStats(
         cells=len(spec.cells),

@@ -23,12 +23,12 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from .ctg.graph import CTGError, ConditionalTaskGraph, NodeKind
 from .platform.energy import DvfsModel
 from .platform.link import Link
-from .platform.mpsoc import Platform
+from .platform.mpsoc import Platform, PlatformError
 from .platform.pe import ProcessingElement
 from .sim.vectors import Trace, validate_trace
 
@@ -195,17 +195,35 @@ def load_instance(
     """Read a problem instance; returns ``(ctg, platform, trace_or_None)``.
 
     The platform is checked against the graph's task set and a shipped
-    trace against the graph's branch structure.
+    trace against the graph's branch structure.  A missing required key
+    or a wrong-typed field raises :class:`~repro.ctg.graph.CTGError`
+    (graph) or :class:`~repro.platform.mpsoc.PlatformError` (platform)
+    naming it.
     """
     bundle = json.loads(Path(path).read_text())
     _check_version(bundle)
-    ctg = ctg_from_dict(bundle["ctg"])
-    platform = platform_from_dict(bundle["platform"])
+    ctg = _load_section(bundle, "ctg", ctg_from_dict, CTGError)
+    platform = _load_section(bundle, "platform", platform_from_dict, PlatformError)
     platform.validate_for(ctg.tasks())
     trace = bundle.get("trace")
     if trace is not None:
         validate_trace(ctg, trace)
     return ctg, platform, trace
+
+
+def _load_section(
+    bundle: Dict[str, Any], key: str, parse: Callable[[Any], Any], error: type
+) -> Any:
+    """``parse(bundle[key])``, with a missing key or a wrong-typed field
+    raised as ``error`` naming it."""
+    if key not in bundle:
+        raise error(f"missing required key {key!r}")
+    try:
+        return parse(bundle[key])
+    except KeyError as exc:
+        raise error(f"{key}: missing required key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise error(f"{key}: wrong-typed field: {exc}") from None
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,8 @@ Five modules, one contract:
   (:class:`repro.profiling.StageProfiler`): the one in-process
   recorder then feeds the tracer while its aggregate ``profile`` dicts
   stay bit-for-bit what an untraced run produces;
-* :mod:`repro.obs.metrics` — the declared metric vocabulary
+* :mod:`repro.obs.metrics` — the one declared vocabulary of stage,
+  counter, event, derived-metric and ledger names
   (:data:`VOCABULARY`) and its name check, the plain-dict
   ``run.*`` metrics of :func:`derive_run_metrics`, and the drift-test
   helpers (:func:`vocabulary_table`, :func:`emitted_names`);
@@ -16,9 +17,9 @@ Five modules, one contract:
   trace-event JSON for Perfetto, byte-stable canonical metrics
   snapshots for CI ``cmp``, and the ``repro report`` renderers;
 * :mod:`repro.obs.events` — the run-event ledger (``repro.events/1``):
-  a declared, drift-tested event vocabulary, the thread-safe
-  :class:`EventLedger` writer and canonicalisation for CI
-  byte-compares.
+  the thread-safe :class:`EventLedger` writer over the ledger rows of
+  :data:`VOCABULARY`, the no-op :data:`NULL_LEDGER`, and
+  canonicalisation for CI byte-compares.
 
 See ``docs/observability.md`` for the span model and export formats.
 """
@@ -33,17 +34,13 @@ from .export import (
     write_metrics_snapshot,
 )
 from .events import (
-    EVENTS,
     EVENTS_SCHEMA,
+    NULL_LEDGER,
     EventError,
     EventLedger,
-    EventSpec,
     as_ledger,
-    canonical_event_names,
     canonical_ledger,
     canonical_records,
-    event_names,
-    events_table,
     read_ledger,
     render_event,
 )
@@ -76,17 +73,13 @@ from .trace import (
 )
 
 __all__ = [
-    "EVENTS",
     "EVENTS_SCHEMA",
+    "NULL_LEDGER",
     "EventError",
     "EventLedger",
-    "EventSpec",
     "as_ledger",
-    "canonical_event_names",
     "canonical_ledger",
     "canonical_records",
-    "event_names",
-    "events_table",
     "read_ledger",
     "render_event",
     "METRICS_SCHEMA",

@@ -4,22 +4,24 @@ An experiment sweep is resumable and streams its cells, but its
 artifact only records the end state.  This module gives every run an
 **append-only event ledger** — one JSON object per line in an
 ``events.jsonl`` file next to the artifact — that the engine and the
-CLI write through one declared vocabulary:
+CLI write through the one declared vocabulary,
+:data:`repro.obs.metrics.VOCABULARY`:
 
-* :data:`EVENTS` — one :class:`EventSpec` per event the engine emits
-  (sweep lifecycle, per-cell stream progress, fault-recovery
-  escalations), schema :data:`EVENTS_SCHEMA`;
+* the ``ledger`` rows of :data:`~repro.obs.metrics.VOCABULARY` declare
+  every event the engine emits (sweep lifecycle, per-cell stream
+  progress, fault-recovery escalations), its required fields and
+  whether it survives canonicalisation; schema :data:`EVENTS_SCHEMA`;
 * :class:`EventLedger` — the thread-safe writer: validates names and
   fields against the declaration, write-through to the JSONL file;
+  :data:`NULL_LEDGER` is the shared do-nothing ledger of runs given
+  none (:func:`as_ledger`), like ``NULL_TRACER`` and ``NULL_PROFILER``;
 * :func:`read_ledger` / :func:`canonical_records` /
   :func:`canonical_ledger` — the reader and the canonicalisation that
   CI ``cmp``\\ s: wall-clock and completion-order data are confined to
   the per-record ``meta`` object and to events *declared*
   non-canonical, so the canonicalised ledger is byte-identical across
   ``--jobs`` values, cache temperature and interrupted-then-resumed runs
-  (the same discipline as the artifact ``timing`` split, PR 6);
-* :func:`events_table` — the rendered vocabulary table embedded in
-  ``docs/observability.md`` and drift-tested like the metric table.
+  (the same discipline as the artifact ``timing`` split).
 
 Canonical events carry only deterministic fields (cell keys,
 fingerprints, fault counters replayed from cached profiles);
@@ -32,10 +34,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from threading import Lock
 from typing import Any, Dict, IO, List, Optional, Sequence, Tuple, Union
+
+from .metrics import VOCABULARY, MetricKind, MetricSpec
 
 #: Ledger schema identifier; rev on incompatible record-layout changes.
 EVENTS_SCHEMA = "repro.events/1"
@@ -45,74 +48,10 @@ class EventError(ValueError):
     """An undeclared event name or a record violating its declaration."""
 
 
-@dataclass(frozen=True)
-class EventSpec:
-    """Declaration of one ledger event.
-
-    ``fields`` are the *canonical* fields: required on every emission,
-    deterministic across ``--jobs``/cache temperature/resume, and the only
-    payload that survives canonicalisation.  Any extra keyword passed
-    to :meth:`EventLedger.emit` lands in the record's non-canonical
-    ``meta`` object instead.
-    """
-
-    name: str
-    canonical: bool
-    fields: Tuple[str, ...]
-    description: str
-
-
-def _ev(name: str, canonical: bool, fields: Tuple[str, ...], description: str) -> EventSpec:
-    return EventSpec(name=name, canonical=canonical, fields=fields, description=description)
-
-
-#: The declared event vocabulary — every name an :class:`EventLedger`
-#: accepts, in emission-pipeline order (the rendering order of
-#: :func:`events_table`).
-EVENTS: Tuple[EventSpec, ...] = (
-    _ev("ledger.opened", True, ("schema",), "ledger header: the schema of this event stream"),
-    _ev("sweep.started", True, ("experiment", "cells"), "one engine run began (cell count declared up front)"),
-    _ev("cell.submitted", False, ("key",), "cell dispatched to the worker pool (submission order)"),
-    _ev("cell.cached", False, ("key",), "cell served from a warm cache entry"),
-    _ev("cell.resumed", False, ("key",), "warm cell skipped under ``--resume``"),
-    _ev("cell.flushed", False, ("key",), "computed cell streamed out of the reorder buffer"),
-    _ev("cell.completed", True, ("key", "fingerprint"), "cell final in declaration order, however it was produced"),
-    _ev("cell.recovery", True, ("key", "injected", "threatened", "escalations"), "fault/recovery escalation counts replayed from a cell's profile"),
-    _ev("sweep.finished", True, ("experiment", "cells"), "the engine run reduced and returned"),
-)
-
-#: Name → spec lookup for validation and canonicalisation.
-EVENT_SPECS: Dict[str, EventSpec] = {spec.name: spec for spec in EVENTS}
-
-
-def event_names() -> Tuple[str, ...]:
-    """Every declared event name, in declaration order."""
-    return tuple(spec.name for spec in EVENTS)
-
-
-def canonical_event_names() -> Tuple[str, ...]:
-    """The subset of names that survive canonicalisation."""
-    return tuple(spec.name for spec in EVENTS if spec.canonical)
-
-
-def events_table() -> str:
-    """The event vocabulary table, generated from :data:`EVENTS`.
-
-    ``docs/observability.md`` embeds exactly this text; the drift test
-    re-renders it and fails on any divergence — edit the declaration,
-    re-render, never the table text.
-    """
-    rows = [
-        (f"``{spec.name}``", "yes" if spec.canonical else "no", spec.description)
-        for spec in EVENTS
-    ]
-    widths = [max(len(r[i]) for r in rows + [("", "canonical", "")]) for i in range(2)]
-    bar = f"{'=' * widths[0]}  {'=' * widths[1]}  {'=' * 56}"
-    lines = [bar, f"{'event':<{widths[0]}}  {'canonical':<{widths[1]}}  description", bar]
-    for name, canonical, description in rows:
-        lines.append(f"{name:<{widths[0]}}  {canonical:<{widths[1]}}  {description}")
-    lines.append(bar)
-    return "\n".join(lines)
+#: Name → spec of every declared ledger record.
+_LEDGER: Dict[str, MetricSpec] = {
+    spec.name: spec for spec in VOCABULARY if spec.kind is MetricKind.LEDGER
+}
 
 
 class EventLedger:
@@ -130,15 +69,15 @@ class EventLedger:
         history).
 
     Every emission validates the event name and its canonical fields
-    against :data:`EVENTS`; extra keywords land in the record's
-    ``meta`` object next to the wall-clock offset, which is the *only*
-    place wall-clock ever appears.
+    against the ``ledger`` rows of :data:`~repro.obs.metrics.VOCABULARY`;
+    extra keywords land in the record's ``meta`` object next to the
+    wall-clock offset, which is the *only* place wall-clock ever
+    appears.
     """
 
     def __init__(self, path: Union[None, str, Path] = None) -> None:
         self.path = Path(path) if path is not None else None
         self.records: List[Dict[str, Any]] = []
-        self.counts: Dict[str, int] = {}
         self._lock = Lock()
         self._seq = 0
         self._file: Optional[IO[str]] = None
@@ -151,9 +90,9 @@ class EventLedger:
     # -- emission --------------------------------------------------------
     def emit(self, name: str, **fields: Any) -> Dict[str, Any]:
         """Append one validated record; returns it."""
-        spec = EVENT_SPECS.get(name)
+        spec = _LEDGER.get(name)
         if spec is None:
-            known = ", ".join(event_names())
+            known = ", ".join(_LEDGER)
             raise EventError(f"undeclared event {name!r} (known: {known})")
         missing = [f for f in spec.fields if f not in fields]
         if missing:
@@ -170,7 +109,6 @@ class EventLedger:
                 "meta": {"wall": round(time.time() - self._opened, 6), **meta},
             }
             self._seq += 1
-            self.counts[name] = self.counts.get(name, 0) + 1
             if self._file is not None:
                 self._file.write(json.dumps(record, sort_keys=True) + "\n")
                 self._file.flush()
@@ -193,17 +131,32 @@ class EventLedger:
         self.close()
 
 
+class _NullLedger(EventLedger):
+    """Shared no-op ledger for runs given none: records nothing.
+
+    Call sites emit unconditionally, so the engine carries no
+    ``if ledger is not None`` branching.
+    """
+
+    def emit(self, name: str, **fields: Any) -> Dict[str, Any]:  # noqa: ARG002
+        return {}
+
+
+#: Shared do-nothing ledger; see :func:`as_ledger`.
+NULL_LEDGER: EventLedger = _NullLedger()
+
+
 def as_ledger(
     events: Union[None, str, Path, EventLedger],
-) -> Tuple[Optional[EventLedger], bool]:
+) -> Tuple[EventLedger, bool]:
     """Normalise an ``events=`` argument to ``(ledger, owned)``.
 
     A path creates (and the caller must close) a fresh file-backed
-    ledger; an existing ledger passes through un-owned; ``None`` stays
-    ``None``.
+    ledger; an existing ledger passes through un-owned; ``None`` is
+    the shared :data:`NULL_LEDGER`.
     """
     if events is None:
-        return None, False
+        return NULL_LEDGER, False
     if isinstance(events, EventLedger):
         return events, False
     return EventLedger(path=events), True
@@ -251,7 +204,7 @@ def canonical_records(records: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]
     """
     out: List[Dict[str, Any]] = []
     for record in records:
-        spec = EVENT_SPECS.get(record.get("event", ""))
+        spec = _LEDGER.get(record.get("event", ""))
         if spec is None or not spec.canonical:
             continue
         out.append(
@@ -280,7 +233,7 @@ def render_event(record: Dict[str, Any]) -> str:
     meta = record.get("meta") or {}
     wall = meta.get("wall")
     prefix = f"+{wall:9.3f}s" if isinstance(wall, (int, float)) else " " * 10
-    spec = EVENT_SPECS.get(record.get("event", ""))
+    spec = _LEDGER.get(record.get("event", ""))
     fields = spec.fields if spec is not None else ()
     parts = [f"{k}={record[k]}" for k in fields if k in record]
     parts += [f"{k}={v}" for k, v in sorted(meta.items()) if k != "wall"]
@@ -288,18 +241,13 @@ def render_event(record: Dict[str, Any]) -> str:
 
 
 __all__ = [
-    "EVENTS",
     "EVENTS_SCHEMA",
-    "EVENT_SPECS",
+    "NULL_LEDGER",
     "EventError",
     "EventLedger",
-    "EventSpec",
     "as_ledger",
-    "canonical_event_names",
     "canonical_ledger",
     "canonical_records",
-    "event_names",
-    "events_table",
     "read_ledger",
     "render_event",
 ]

@@ -7,7 +7,10 @@ silently reporting zeros forever.  This module makes the vocabulary a
 *declaration*:
 
 * :data:`VOCABULARY` — one :class:`MetricSpec` per stage timer, event
-  counter, point event and derived per-run metric the package emits;
+  counter, point event, derived per-run metric and run-event ledger
+  record the package emits (the ledger's required fields and
+  canonical flag, and the counters that double as trace events, are
+  declared on their rows);
 * :func:`warn_undeclared` — the one check of emitted names against the
   declaration: unknown names raise a :class:`UserWarning` (runs keep
   going, but the drift is visible);
@@ -17,8 +20,8 @@ silently reporting zeros forever.  This module makes the vocabulary a
   diverge from the code);
 * :func:`emitted_names` — an AST sweep over a source tree collecting
   every name literal passed to ``.stage(...)`` / ``.count(...)`` /
-  ``.event(...)``, so the drift test can assert *emitted ⊆ declared*
-  without running anything;
+  ``.event(...)`` / ``.emit(...)``, so the drift test can assert
+  *emitted ⊆ declared* without running anything;
 * :func:`derive_run_metrics` — the per-run derived metrics (re-schedule
   latency percentiles, energy per instance, recovery rate) computed
   from a :class:`~repro.sim.runner.RunResult` and its tracer, as a
@@ -48,32 +51,41 @@ class MetricKind(str, Enum):
     EVENT = "event"  #: a point on the trace timeline
     GAUGE = "gauge"  #: a last-write-wins scalar
     HISTOGRAM = "histogram"  #: a value distribution with percentiles
+    LEDGER = "ledger"  #: one record of the run-event ledger
 
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """Declaration of one metric name."""
+    """Declaration of one metric name.
+
+    ``traced`` marks a counter whose bumps double as point events on
+    the trace timeline.  ``fields`` and ``canonical`` apply to ledger
+    records: ``fields`` are required on every emission and are the
+    only payload that survives canonicalisation, and only ``canonical``
+    records survive it at all.
+    """
 
     name: str
     kind: MetricKind
     description: str
     unit: str = ""
+    traced: bool = False
+    fields: Tuple[str, ...] = ()
+    canonical: bool = False
 
 
-def _spec(name: str, kind: MetricKind, description: str, unit: str = "") -> MetricSpec:
-    return MetricSpec(name=name, kind=kind, description=description, unit=unit)
-
-
-_T, _C, _E, _G, _H = (
+_spec = MetricSpec  # short constructor for the declaration table
+_T, _C, _E, _G, _H, _L = (
     MetricKind.TIMER,
     MetricKind.COUNTER,
     MetricKind.EVENT,
     MetricKind.GAUGE,
     MetricKind.HISTOGRAM,
+    MetricKind.LEDGER,
 )
 
-#: The declared vocabulary — every stage/counter/event/derived name the
-#: package emits.  Ordering is the rendering order of
+#: The declared vocabulary — every stage/counter/event/derived/ledger
+#: name the package emits.  Ordering is the rendering order of
 #: :func:`vocabulary_table` (grouped by kind, pipeline order within).
 VOCABULARY: Tuple[MetricSpec, ...] = (
     # -- stage timers (wall-clock spans) --------------------------------
@@ -93,10 +105,10 @@ VOCABULARY: Tuple[MetricSpec, ...] = (
     _spec("dls.tasks_placed", _C, "tasks placed by the DLS mapping stage"),
     _spec("dls.candidates_evaluated", _C, "(task, PE) candidates DLS evaluated, not served from its cache"),
     _spec("paths.enumerated", _C, "paths enumerated on structural cache misses"),
-    _spec("path_cache.hit", _C, "structural path-analytics cache hits"),
-    _spec("path_cache.miss", _C, "structural path-analytics cache misses"),
-    _spec("prob_cache.hit", _C, "probability-tier (prob_after) cache hits"),
-    _spec("prob_cache.miss", _C, "probability-tier (prob_after) cache misses"),
+    _spec("path_cache.hit", _C, "structural path-analytics cache hits", traced=True),
+    _spec("path_cache.miss", _C, "structural path-analytics cache misses", traced=True),
+    _spec("prob_cache.hit", _C, "probability-tier (prob_after) cache hits", traced=True),
+    _spec("prob_cache.miss", _C, "probability-tier (prob_after) cache misses", traced=True),
     _spec("stretch.prune_fallback", _C, "all-paths-pruned fallbacks to unpruned stretching"),
     _spec("executor.instances", _C, "CTG instances replayed by the executor"),
     _spec("executor.faulted_instances", _C, "instances replayed with faults applied"),
@@ -140,6 +152,16 @@ VOCABULARY: Tuple[MetricSpec, ...] = (
     _spec("run.reschedule_calls", _G, "re-scheduling call count of the run"),
     _spec("run.deadline_misses", _G, "instances finishing past the deadline"),
     _spec("run.recovery_rate", _G, "recovered / threatened instances (faulted runs)"),
+    # -- run-event ledger records (repro.obs.events) ---------------------
+    _spec("ledger.opened", _L, "ledger header: the schema of this event stream", fields=("schema",), canonical=True),
+    _spec("sweep.started", _L, "one engine run began (cell count declared up front)", fields=("experiment", "cells"), canonical=True),
+    _spec("cell.submitted", _L, "cell dispatched to the worker pool (submission order)", fields=("key",)),
+    _spec("cell.cached", _L, "cell served from a warm cache entry", fields=("key",)),
+    _spec("cell.resumed", _L, "warm cell skipped under ``--resume``", fields=("key",)),
+    _spec("cell.flushed", _L, "computed cell streamed out of the reorder buffer", fields=("key",)),
+    _spec("cell.completed", _L, "cell final in declaration order, however it was produced", fields=("key", "fingerprint"), canonical=True),
+    _spec("cell.recovery", _L, "fault/recovery escalation counts replayed from a cell's profile", fields=("key", "injected", "threatened", "escalations"), canonical=True),
+    _spec("sweep.finished", _L, "the engine run reduced and returned", fields=("experiment", "cells"), canonical=True),
 )
 
 
@@ -194,27 +216,38 @@ def warn_undeclared(names: Iterable[str], source: str = "") -> List[str]:
 # Rendered vocabulary table (the docstring/docs source of truth)
 # ----------------------------------------------------------------------
 def vocabulary_table() -> str:
-    """The stage/counter table, generated from :data:`VOCABULARY`.
+    """The name table, generated from :data:`VOCABULARY`.
 
     ``repro/profiling.py``'s module docstring and the vocabulary
     section of ``docs/observability.md`` embed exactly this text; the
-    drift test re-renders it and fails on any divergence.
+    drift test re-renders it and fails on any divergence.  The
+    ``canonical`` column is filled for ledger records only.
     """
-    rows = [(f"``{spec.name}``", spec.kind.value, spec.description) for spec in VOCABULARY]
-    widths = [max(len(r[i]) for r in rows) for i in range(2)]
-    bar = f"{'=' * widths[0]}  {'=' * widths[1]}  {'=' * 48}"
-    lines = [bar]
-    for name, kind, description in rows:
-        lines.append(f"{name:<{widths[0]}}  {kind:<{widths[1]}}  {description}")
-    lines.append(bar)
+    header = ("name", "kind", "canonical", "description")
+    rows = [
+        (
+            f"``{spec.name}``",
+            spec.kind.value,
+            ("yes" if spec.canonical else "no") if spec.kind is MetricKind.LEDGER else "",
+            spec.description,
+        )
+        for spec in VOCABULARY
+    ]
+    widths = [max(len(r[i]) for r in [header, *rows]) for i in range(3)]
+    bar = "  ".join("=" * w for w in [*widths, 48])
+
+    def line(row: Tuple[str, ...]) -> str:
+        return "  ".join(f"{cell:<{w}}" for cell, w in zip(row, widths)) + "  " + row[3]
+
+    lines = [bar, line(header), bar, *map(line, rows), bar]
     return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
 # Static emission sweep (the other half of the drift test)
 # ----------------------------------------------------------------------
-#: Method names whose first string-literal argument is a metric name.
-_EMITTING_METHODS = frozenset({"stage", "count", "event"})
+#: Method names whose first string-literal argument is a declared name.
+_EMITTING_METHODS = frozenset({"stage", "count", "event", "emit"})
 
 
 def emitted_names(*roots: Any) -> Set[str]:
@@ -222,7 +255,7 @@ def emitted_names(*roots: Any) -> Set[str]:
 
     Walks the Python files, collecting the first positional string
     literal of every ``<obj>.stage("…")`` / ``.count("…")`` /
-    ``.event("…")`` call.  Dynamic names (variables, f-strings, the
+    ``.event("…")`` / ``.emit("…")`` call.  Dynamic names (variables, f-strings, the
     ``run.*`` keys :func:`derive_run_metrics` writes) are invisible to
     this sweep by design — the vocabulary governs the literal
     namespace, and the ``run.*`` names are checked by running them.

@@ -12,6 +12,7 @@ the paper's continuous model, used by the quantisation ablation).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional, Tuple
 
 from ..check.tolerances import EXACT_EPS
@@ -50,6 +51,12 @@ class ProcessingElement:
     frequency: Optional[FrequencyModel] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.min_speed, Real):
+            raise TypeError(f"min_speed must be a number, got {self.min_speed!r}")
+        if self.speed_levels is not None and not all(
+            isinstance(s, Real) for s in self.speed_levels
+        ):
+            raise TypeError(f"speed_levels must be numbers, got {self.speed_levels!r}")
         if not 0.0 < self.min_speed <= 1.0:
             raise ValueError(f"min_speed must be in (0, 1], got {self.min_speed}")
         if self.speed_levels is not None:

@@ -29,74 +29,85 @@ Design constraints:
   :data:`~repro.obs.trace.NULL_TRACER`; the untraced path pays one
   ``tracer.enabled`` check per stage or counter bump.
 
-The stage/counter/event vocabulary is *declared* in
+The stage/counter/event/ledger vocabulary is *declared* in
 :data:`repro.obs.metrics.VOCABULARY`; the table below is generated
 by :func:`repro.obs.metrics.vocabulary_table` and drift-tested
 (``tests/test_obs_vocabulary.py``) — edit the declaration, then
 re-render, never the table text:
 
-================================  =========  ================================================
-``online``                        timer      one full ``schedule_online`` invocation
-``online.fallback``               timer      full-speed DLS fallback scheduling stage
-``dls``                           timer      mapping/ordering stage
-``dls.levels``                    timer      static-level computation inside DLS
-``stretch``                       timer      slack-distribution stage (total)
-``stretch.structure``             timer      path enumeration + scenario-mask construction
-``stretch.refresh``               timer      probability-dependent table refresh
-``stretch.sweep``                 timer      the per-task CalculateSlack sweep
-``executor.replay``               timer      per-instance schedule replay in the simulator
-``executor.replay_faulted``       timer      dual-arm replay of a fault-injected instance
-``batch.sweep``                   timer      batched Monte-Carlo sampling + evaluation kernel
-``check``                         timer      static verification inside ``schedule_online(check=True)``
-``dls.tasks_placed``              counter    tasks placed by the DLS mapping stage
-``dls.candidates_evaluated``      counter    (task, PE) candidates DLS evaluated, not served from its cache
-``paths.enumerated``              counter    paths enumerated on structural cache misses
-``path_cache.hit``                counter    structural path-analytics cache hits
-``path_cache.miss``               counter    structural path-analytics cache misses
-``prob_cache.hit``                counter    probability-tier (prob_after) cache hits
-``prob_cache.miss``               counter    probability-tier (prob_after) cache misses
-``stretch.prune_fallback``        counter    all-paths-pruned fallbacks to unpruned stretching
-``executor.instances``            counter    CTG instances replayed by the executor
-``executor.faulted_instances``    counter    instances replayed with faults applied
-``reschedule.calls``              counter    adaptive re-invocations of the online algorithm
-``reschedule.emergency``          counter    out-of-band invocations after an unrecovered miss
-``reschedule.dropped``            counter    invocations lost to an injected drop fault
-``reschedule.delayed``            counter    invocations deferred by an injected delay fault
-``reschedule.fallback``           counter    full-speed fallback schedules installed on failure
-``batch.instances``               counter    instances evaluated by the batched Monte-Carlo kernel
-``fault.injected``                counter    faults resolved from the plan and applied
-``fault.threatened``              counter    instances whose no-policy arm missed the deadline
-``fault.escalations``             counter    overrun detections that escalated remaining tasks
-``fault.corrupted_observations``  counter    branch labels rotated before the estimator
-``fault.quantization_loss``       counter    misses attributable to a capped frequency table alone
-``policy.quantized``              counter    task speeds rounded up onto a discrete level
-``policy.refined``                counter    discrete levels lowered by the slack-refinement pass
-``policy.eaps_configs``           counter    (frequency, core-count) configurations enumerated by EAPS
-``executor.reclaimed``            counter    tasks whose completion slack was reclaimed at a preemption point
-``check.passes``                  counter    clean ``schedule_online(check=True)`` verifications
-``modal.pseudo_edge_skips``       counter    implied-edge injections skipped as cycle-closing
-``cache.backend.hit``             counter    cell-cache entries served by the storage backend
-``cache.backend.miss``            counter    cell-cache lookups the backend could not serve
-``cache.backend.corrupt``         counter    backend entries rejected as corrupt (recomputed)
-``cache.backend.put``             counter    cell results persisted to the storage backend
-``engine.stream.flushed``         counter    cell results streamed through the reorder buffer
-``engine.stream.peak_resident``   counter    reorder-buffer high-water mark (bounded by the window)
-``engine.stream.resumed``         counter    cells skipped via warm entries under ``--resume``
-``drift.detected``                event      windowed branch drift crossed the threshold
-``reschedule.invoked``            event      the controller (re)invoked the online algorithm
-``sim.fault``                     event      one injected fault, on its instance's sim timeline
-``sim.reschedule``                event      a new schedule took effect (sim timeline)
-``sim.escalation``                event      the watchdog escalated remaining tasks (sim timeline)
-``sim.recovered``                 event      policy arm recovered a threatened instance
-``sim.unrecovered``               event      policy arm missed the deadline despite recovery
-``run.reschedule_latency``        histogram  per-call ``schedule_online`` wall-clock latency
-``run.energy_per_instance``       histogram  per-instance energy distribution
-``run.total_energy``              gauge      summed instance energy of the run
-``run.instances``                 gauge      replayed CTG instances
-``run.reschedule_calls``          gauge      re-scheduling call count of the run
-``run.deadline_misses``           gauge      instances finishing past the deadline
-``run.recovery_rate``             gauge      recovered / threatened instances (faulted runs)
-================================  =========  ================================================
+================================  =========  =========  ================================================
+name                              kind       canonical  description
+================================  =========  =========  ================================================
+``online``                        timer                 one full ``schedule_online`` invocation
+``online.fallback``               timer                 full-speed DLS fallback scheduling stage
+``dls``                           timer                 mapping/ordering stage
+``dls.levels``                    timer                 static-level computation inside DLS
+``stretch``                       timer                 slack-distribution stage (total)
+``stretch.structure``             timer                 path enumeration + scenario-mask construction
+``stretch.refresh``               timer                 probability-dependent table refresh
+``stretch.sweep``                 timer                 the per-task CalculateSlack sweep
+``executor.replay``               timer                 per-instance schedule replay in the simulator
+``executor.replay_faulted``       timer                 dual-arm replay of a fault-injected instance
+``batch.sweep``                   timer                 batched Monte-Carlo sampling + evaluation kernel
+``check``                         timer                 static verification inside ``schedule_online(check=True)``
+``dls.tasks_placed``              counter               tasks placed by the DLS mapping stage
+``dls.candidates_evaluated``      counter               (task, PE) candidates DLS evaluated, not served from its cache
+``paths.enumerated``              counter               paths enumerated on structural cache misses
+``path_cache.hit``                counter               structural path-analytics cache hits
+``path_cache.miss``               counter               structural path-analytics cache misses
+``prob_cache.hit``                counter               probability-tier (prob_after) cache hits
+``prob_cache.miss``               counter               probability-tier (prob_after) cache misses
+``stretch.prune_fallback``        counter               all-paths-pruned fallbacks to unpruned stretching
+``executor.instances``            counter               CTG instances replayed by the executor
+``executor.faulted_instances``    counter               instances replayed with faults applied
+``reschedule.calls``              counter               adaptive re-invocations of the online algorithm
+``reschedule.emergency``          counter               out-of-band invocations after an unrecovered miss
+``reschedule.dropped``            counter               invocations lost to an injected drop fault
+``reschedule.delayed``            counter               invocations deferred by an injected delay fault
+``reschedule.fallback``           counter               full-speed fallback schedules installed on failure
+``batch.instances``               counter               instances evaluated by the batched Monte-Carlo kernel
+``fault.injected``                counter               faults resolved from the plan and applied
+``fault.threatened``              counter               instances whose no-policy arm missed the deadline
+``fault.escalations``             counter               overrun detections that escalated remaining tasks
+``fault.corrupted_observations``  counter               branch labels rotated before the estimator
+``fault.quantization_loss``       counter               misses attributable to a capped frequency table alone
+``policy.quantized``              counter               task speeds rounded up onto a discrete level
+``policy.refined``                counter               discrete levels lowered by the slack-refinement pass
+``policy.eaps_configs``           counter               (frequency, core-count) configurations enumerated by EAPS
+``executor.reclaimed``            counter               tasks whose completion slack was reclaimed at a preemption point
+``check.passes``                  counter               clean ``schedule_online(check=True)`` verifications
+``modal.pseudo_edge_skips``       counter               implied-edge injections skipped as cycle-closing
+``cache.backend.hit``             counter               cell-cache entries served by the storage backend
+``cache.backend.miss``            counter               cell-cache lookups the backend could not serve
+``cache.backend.corrupt``         counter               backend entries rejected as corrupt (recomputed)
+``cache.backend.put``             counter               cell results persisted to the storage backend
+``engine.stream.flushed``         counter               cell results streamed through the reorder buffer
+``engine.stream.peak_resident``   counter               reorder-buffer high-water mark (bounded by the window)
+``engine.stream.resumed``         counter               cells skipped via warm entries under ``--resume``
+``drift.detected``                event                 windowed branch drift crossed the threshold
+``reschedule.invoked``            event                 the controller (re)invoked the online algorithm
+``sim.fault``                     event                 one injected fault, on its instance's sim timeline
+``sim.reschedule``                event                 a new schedule took effect (sim timeline)
+``sim.escalation``                event                 the watchdog escalated remaining tasks (sim timeline)
+``sim.recovered``                 event                 policy arm recovered a threatened instance
+``sim.unrecovered``               event                 policy arm missed the deadline despite recovery
+``run.reschedule_latency``        histogram             per-call ``schedule_online`` wall-clock latency
+``run.energy_per_instance``       histogram             per-instance energy distribution
+``run.total_energy``              gauge                 summed instance energy of the run
+``run.instances``                 gauge                 replayed CTG instances
+``run.reschedule_calls``          gauge                 re-scheduling call count of the run
+``run.deadline_misses``           gauge                 instances finishing past the deadline
+``run.recovery_rate``             gauge                 recovered / threatened instances (faulted runs)
+``ledger.opened``                 ledger     yes        ledger header: the schema of this event stream
+``sweep.started``                 ledger     yes        one engine run began (cell count declared up front)
+``cell.submitted``                ledger     no         cell dispatched to the worker pool (submission order)
+``cell.cached``                   ledger     no         cell served from a warm cache entry
+``cell.resumed``                  ledger     no         warm cell skipped under ``--resume``
+``cell.flushed``                  ledger     no         computed cell streamed out of the reorder buffer
+``cell.completed``                ledger     yes        cell final in declaration order, however it was produced
+``cell.recovery``                 ledger     yes        fault/recovery escalation counts replayed from a cell's profile
+``sweep.finished``                ledger     yes        the engine run reduced and returned
+================================  =========  =========  ================================================
 """
 
 from __future__ import annotations
@@ -106,15 +117,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional
 
+from .obs.metrics import VOCABULARY
 from .obs.trace import NULL_TRACER, Tracer
 
-#: Counters whose bumps double as point events on the trace timeline
-#: (cache hits and misses); everything else stays a pure aggregate —
-#: re-schedule and fault events are emitted explicitly by the
-#: controller and runners with richer attributes.
-EVENT_COUNTERS = frozenset(
-    {"path_cache.hit", "path_cache.miss", "prob_cache.hit", "prob_cache.miss"}
-)
+#: Counters declared ``traced`` in :data:`~repro.obs.metrics.VOCABULARY`,
+#: whose bumps double as point events on the trace timeline (cache hits
+#: and misses); everything else stays a pure aggregate — re-schedule
+#: and fault events are emitted explicitly by the controller and
+#: runners with richer attributes.
+EVENT_COUNTERS = frozenset(spec.name for spec in VOCABULARY if spec.traced)
 
 
 @dataclass

@@ -429,65 +429,44 @@ class InstanceExecutor:
                 if start_p > wc_start + lateness_margin + TIME_EPS:
                     escalating = True
                     overrun_detected = True
+            # the escalation ceiling is the top frequency level, 1.0 on
+            # continuous platforms; x / 1.0 and x * 1.0 ** e are exact,
+            # so one formula serves capped and uncapped PEs bit for bit
             esc = self._escalation_speed(placement.pe)
-            capped = esc < 1.0 - EXACT_EPS
+            if esc < 1.0 - EXACT_EPS:
+                top, below_top = esc, esc - EXACT_EPS
+            else:
+                top, below_top = 1.0, 1.0
+            duration_p = faulted_duration
             energy_p = nominal * work_ratio
             duration_q = faulted_duration
             if escalating and escalate:
-                # task runs entirely at the escalation ceiling — the
-                # top frequency level, 1.0 on continuous platforms
-                if capped:
-                    duration_p = effective_wcet / esc * pe_factor
-                    energy_p = (
-                        placement.nominal_energy * work_ratio * esc ** exponent
-                    )
-                    if placement.speed < esc - EXACT_EPS:
-                        escalated.append(task)
-                else:
-                    duration_p = effective_wcet * pe_factor
-                    energy_p = placement.nominal_energy * work_ratio
-                    if placement.speed < 1.0:
-                        escalated.append(task)
+                # task runs entirely at the escalation ceiling
+                duration_p = effective_wcet / top * pe_factor
+                energy_p = placement.nominal_energy * work_ratio * top ** exponent
+                if placement.speed < below_top:
+                    escalated.append(task)
                 duration_q = effective_wcet * pe_factor
             else:
                 budget = placement.duration * (1.0 + policy.overrun_margin)
                 if escalate and faulted_duration > budget + TIME_EPS:
                     escalating = True
                     overrun_detected = True
-                    if capped:
-                        if placement.speed < esc - EXACT_EPS and placement.wcet > 0:
-                            work_done = budget * placement.speed / pe_factor
-                            work_left = effective_wcet - work_done
-                            duration_p = budget + work_left * pe_factor / esc
-                            energy_p = placement.nominal_energy * (
-                                work_done / placement.wcet * placement.speed ** exponent
-                                + work_left / placement.wcet * esc ** exponent
-                            )
-                            escalated.append(task)
-                        else:
-                            duration_p = faulted_duration
-                            energy_p = nominal * work_ratio
-                    elif placement.speed < 1.0 and placement.wcet > 0:
+                    if placement.speed < below_top and placement.wcet > 0:
                         # watchdog fires mid-task: the work done inside
                         # the budget ran at the assigned speed, the
-                        # remainder runs at max speed
+                        # remainder runs at the ceiling
                         work_done = budget * placement.speed / pe_factor
                         work_left = effective_wcet - work_done
-                        duration_p = budget + work_left * pe_factor
+                        duration_p = budget + work_left * pe_factor / top
                         energy_p = placement.nominal_energy * (
                             work_done / placement.wcet * placement.speed ** exponent
-                            + work_left / placement.wcet
+                            + work_left / placement.wcet * top ** exponent
                         )
                         escalated.append(task)
-                    else:
-                        duration_p = faulted_duration
-                        energy_p = nominal * work_ratio
                     if placement.speed < 1.0 and placement.wcet > 0:
                         work_done_q = budget * placement.speed / pe_factor
                         duration_q = budget + (effective_wcet - work_done_q) * pe_factor
-                else:
-                    duration_p = faulted_duration
-                    energy_p = nominal * work_ratio
             starts_p[task] = start_p
             finishes_p[task] = start_p + duration_p
             if track_q:

@@ -54,6 +54,35 @@ class TestCli:
         assert err.startswith("schedule: cannot load")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "verb, code, prefix",
+        [("check", 1, "error: cannot load target:"), ("schedule", 2, "schedule: cannot load")],
+        ids=["check", "schedule"],
+    )
+    @pytest.mark.parametrize(
+        "mutation, message",
+        [("no-ctg", "missing required key 'ctg'"), ("text-speed", "min_speed must be a number")],
+        ids=["no-ctg", "text-speed"],
+    )
+    def test_malformed_instance_is_a_message(
+        self, tmp_path, capsys, verb, code, prefix, mutation, message
+    ):
+        from repro.workloads import cruise_ctg, cruise_platform
+
+        path = tmp_path / "cruise.json"
+        save_instance(path, cruise_ctg(), cruise_platform())
+        bundle = json.loads(path.read_text())
+        if mutation == "no-ctg":
+            del bundle["ctg"]
+        else:
+            bundle["platform"]["pes"][0]["min_speed"] = "fast"
+        path.write_text(json.dumps(bundle))
+        assert main([verb, str(path)]) == code
+        err = capsys.readouterr().err
+        assert prefix in err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])

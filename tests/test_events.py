@@ -1,5 +1,5 @@
-"""Tests for the run-event ledger (``repro.events/1``): the declared
-vocabulary, the :class:`EventLedger` writer, canonicalisation (the
+"""Tests for the run-event ledger (``repro.events/1``): the
+:class:`EventLedger` writer and its null object, canonicalisation (the
 byte-identity CI ``cmp``\\ s across jobs/resume), the engine's
 emission sequence and the ``repro tail`` renderer."""
 
@@ -11,18 +11,18 @@ import pytest
 from repro.experiments import Cell, ExperimentSpec, run_spec
 from repro.io import canonical_json
 from repro.obs import (
-    EVENTS,
     EVENTS_SCHEMA,
+    NULL_LEDGER,
+    VOCABULARY,
     EventError,
     EventLedger,
+    MetricKind,
     as_ledger,
-    canonical_event_names,
     canonical_ledger,
     canonical_records,
-    event_names,
-    events_table,
     read_ledger,
     render_event,
+    vocabulary_table,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -57,23 +57,15 @@ def _spec(name="ledgered", xs=(1, 2, 3), cell_function=doubling_cell):
 
 
 class TestVocabulary:
-    def test_names_are_unique_and_ordered(self):
-        names = event_names()
-        assert len(names) == len(set(names)) == len(EVENTS)
-
-    def test_canonical_subset(self):
-        assert set(canonical_event_names()) <= set(event_names())
-        assert "cell.completed" in canonical_event_names()
-        assert "cell.submitted" not in canonical_event_names()
-
-    def test_table_lists_every_event(self):
-        table = events_table()
-        for name in event_names():
-            assert f"``{name}``" in table
-
     def test_observability_doc_embeds_the_table(self):
+        # every ledger event is documented with its canonical flag, as
+        # the one rendered vocabulary table prints its row
         doc = (REPO / "docs" / "observability.md").read_text()
-        assert events_table() in doc
+        rows = {line.split()[0]: line for line in vocabulary_table().splitlines()}
+        ledger_names = [s.name for s in VOCABULARY if s.kind is MetricKind.LEDGER]
+        assert "cell.completed" in ledger_names
+        for name in ledger_names:
+            assert rows[f"``{name}``"] in doc
 
 
 class TestEventLedger:
@@ -85,6 +77,11 @@ class TestEventLedger:
     def test_undeclared_event_rejected(self):
         with pytest.raises(EventError, match="undeclared event"):
             EventLedger().emit("sweep.teleported")
+
+    def test_declared_name_of_another_kind_rejected(self):
+        # ``online`` is a declared stage timer, not a ledger record
+        with pytest.raises(EventError, match="undeclared event"):
+            EventLedger().emit("online")
 
     def test_missing_required_field_rejected(self):
         with pytest.raises(EventError, match="missing required field"):
@@ -108,7 +105,7 @@ class TestEventLedger:
         ledger.emit("cell.cached", key="a")
         ledger.emit("cell.cached", key="b")
         assert [r["seq"] for r in ledger.records] == [0, 1, 2]
-        assert ledger.counts["cell.cached"] == 2
+        assert [r["event"] for r in ledger.records].count("cell.cached") == 2
 
     def test_file_backed_write_through(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -132,12 +129,26 @@ class TestEventLedger:
         ledger.close()
 
     def test_as_ledger_ownership(self, tmp_path):
-        assert as_ledger(None) == (None, False)
+        assert as_ledger(None) == (NULL_LEDGER, False)
         existing = EventLedger()
         assert as_ledger(existing) == (existing, False)
         created, owned = as_ledger(tmp_path / "e.jsonl")
         assert owned and created.path is not None
         created.close()
+
+
+class TestNullLedger:
+    def test_records_nothing(self):
+        NULL_LEDGER.emit("cell.cached", key="a")
+        assert NULL_LEDGER.records == []
+        assert NULL_LEDGER.path is None
+
+    def test_run_spec_without_events_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        report = run_spec(_spec(), jobs=1, cache=tmp_path / "cache")
+        assert report.result == 12
+        assert not list(tmp_path.rglob("*.jsonl"))
+        assert NULL_LEDGER.records == []
 
 
 class TestReadLedger:
@@ -211,10 +222,10 @@ class TestRunSpecEmission:
         run_spec(_spec(), jobs=1, cache=cache)
         warm = EventLedger()
         run_spec(_spec(), jobs=1, cache=cache, events=warm)
-        assert warm.counts.get("cell.cached") == 3
+        assert [r["event"] for r in warm.records].count("cell.cached") == 3
         resumed = EventLedger()
         run_spec(_spec(), jobs=1, cache=cache, resume=True, events=resumed)
-        assert resumed.counts.get("cell.resumed") == 3
+        assert [r["event"] for r in resumed.records].count("cell.resumed") == 3
 
     def test_recovery_events_replay_fault_counters(self):
         ledger = EventLedger()

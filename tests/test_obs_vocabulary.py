@@ -1,14 +1,16 @@
 """Vocabulary drift tests — the two inclusions that keep the declared
-metric vocabulary honest:
+vocabulary honest:
 
 * **emitted ⊆ declared** — a static AST sweep over ``src/repro``
-  collects every metric-name literal and asserts each is declared in
-  :data:`repro.obs.metrics.VOCABULARY` (the ``run.*`` keys of
-  ``derive_run_metrics`` are dict keys, so only the battery sees them);
+  collects every stage/counter/event/ledger name literal and asserts
+  each is declared in :data:`repro.obs.metrics.VOCABULARY` (the
+  ``run.*`` keys of ``derive_run_metrics`` are dict keys, so only the
+  battery sees them);
 * **declared ⊆ emitted** — a battery of real runs (adaptive, faulted
   under three plans, scheduling fallback, ``check=True``, degenerate
-  stretching, modal table) must emit every declared runtime name at
-  least once, so the vocabulary cannot accumulate dead entries.
+  stretching, modal table, ledgered engine runs cold, warm and
+  resumed) must emit every declared runtime name at least once, so
+  the vocabulary cannot accumulate dead entries.
 
 Plus the rendered-table drift checks: the tables embedded in
 ``repro/profiling.py``'s docstring and ``docs/observability.md`` must
@@ -28,6 +30,9 @@ from repro.ctg.examples import two_sided_branch_ctg
 from repro.ctg.graph import ConditionalTaskGraph
 from repro.experiments.chaos import fault_plan_catalogue
 from repro.obs import (
+    VOCABULARY,
+    EventLedger,
+    MetricKind,
     Tracer,
     declared_names,
     derive_run_metrics,
@@ -50,8 +55,10 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def _fabric_cell(params):
-    """Module-level cell function for the engine-fabric battery leg."""
-    return {"values": {"y": params["x"] * 2}}
+    """Module-level cell function for the engine-fabric battery leg; a
+    ``faulted`` cell's profile carries fault counters."""
+    counters = {"fault.injected": 1, "fault.threatened": 1} if params["faulted"] else {}
+    return {"values": {"y": params["x"] * 2}, "profile": {"counters": counters}}
 
 
 class _FabricResult:
@@ -166,9 +173,11 @@ def runtime_names():
     )
     names |= _names_of(profiler)
 
-    # -- engine fabric: a cold cached run, one vandalised entry, then a
-    #    warm --resume run — covers every cache.backend.* / engine.stream.*
-    #    counter (corrupt via the garbage entry, resumed via resume=True)
+    # -- engine fabric: a cold cached run, a warm run, one vandalised
+    #    entry, then a warm --resume run — covers every cache.backend.* /
+    #    engine.stream.* counter (corrupt via the garbage entry, resumed
+    #    via resume=True) and, through their ledgers, every ledger event
+    #    (cell.cached on the warm run, cell.recovery via the faulted cell)
     import tempfile
 
     from repro.experiments import CellCache, run_spec
@@ -177,17 +186,25 @@ def runtime_names():
     fabric_spec = ExperimentSpec(
         name="vocabulary-battery",
         cell_function=_fabric_cell,
-        cells=[Cell(key=f"c{i}", params={"x": i}) for i in range(3)],
+        cells=[Cell(key=f"c{i}", params={"x": i, "faulted": i == 2}) for i in range(3)],
         reducer=lambda cells: _FabricResult(total=sum(c.values["y"] for c in cells)),
     )
     with tempfile.TemporaryDirectory() as tmp:
         store = CellCache(tmp)
-        cold = run_spec(fabric_spec, jobs=1, cache=store)
-        names |= set(cold.engine_profile.counters)
-        victim = cold.cells[0].fingerprint
-        store.path_for(victim).write_text("not json at all")
-        warm = run_spec(fabric_spec, jobs=1, cache=store, resume=True)
-        names |= set(warm.engine_profile.counters)
+
+        def ledgered(resume):
+            ledger = EventLedger()
+            report = run_spec(
+                fabric_spec, jobs=1, cache=store, resume=resume, events=ledger
+            )
+            names.update(report.engine_profile.counters)
+            names.update(record["event"] for record in ledger.records)
+            return report
+
+        cold = ledgered(resume=False)
+        ledgered(resume=False)  # warm, not resumed: cell.cached
+        store.path_for(cold.cells[0].fingerprint).write_text("not json at all")
+        warm = ledgered(resume=True)
         assert warm.engine_profile.counters["cache.backend.corrupt"] == 1
 
     # -- modal table with cycle-closing pseudo-edges: the skip counter
@@ -235,7 +252,31 @@ class TestDeclaredSubsetOfEmitted:
         assert runtime_names <= declared_names()
 
 
+class TestDeclaration:
+    def test_names_are_unique(self):
+        names = [spec.name for spec in VOCABULARY]
+        assert len(names) == len(set(names))
+
+    def test_canonical_records_are_declared_ledger_events(self):
+        ledger = {spec.name for spec in VOCABULARY if spec.kind is MetricKind.LEDGER}
+        canonical = {spec.name for spec in VOCABULARY if spec.canonical}
+        assert canonical <= ledger
+        assert "cell.completed" in canonical
+        assert "cell.submitted" in ledger - canonical
+        # required fields are a ledger-only declaration, traced a counter-only one
+        assert all(spec.fields for spec in VOCABULARY if spec.name in ledger)
+        assert not any(spec.fields for spec in VOCABULARY if spec.name not in ledger)
+        assert all(spec.kind is MetricKind.COUNTER for spec in VOCABULARY if spec.traced)
+
+
 class TestRenderedTableDrift:
+    def test_table_lists_every_ledger_event(self):
+        rows = {line.split()[0]: line.split()[1:3] for line in vocabulary_table().splitlines()}
+        for spec in VOCABULARY:
+            if spec.kind is MetricKind.LEDGER:
+                flag = "yes" if spec.canonical else "no"
+                assert rows[f"``{spec.name}``"] == ["ledger", flag]
+
     def test_profiling_docstring_embeds_the_table(self):
         assert vocabulary_table() in repro.profiling.__doc__
 

@@ -142,6 +142,27 @@ def test_executor_matches_reference(
         )
 
 
+@pytest.mark.parametrize("policy", ["capped", "discrete"])
+def test_escalation_arms_match_reference(policy):
+    """Both escalation arms under a ceiling below 1.0 and at 1.0: with
+    slack for low speeds and a 3x overrun on every task, the watchdog
+    fires mid-task first and the later tasks run at the ceiling."""
+    speed_policy = resolve_speed_policy(POLICIES[policy])
+    ctg, platform = build_instance(14, 1, 1, 2, 3, 3.0)
+    schedule = schedule_online(ctg, platform, speed_policy=speed_policy).schedule
+    decisions = {b: ctg.outcomes_of(b)[0] for b in ctg.branch_nodes()}
+    faults = InstanceFaults(instance=0, wcet_factors={t: 3.0 for t in ctg.tasks()})
+    new_prof, ref_prof = _traced(), _traced()
+    new = InstanceExecutor(
+        schedule, profiler=new_prof, speed_policy=speed_policy
+    ).run_faulted(decisions, faults, DegradationPolicy.default())
+    ref = ReferenceExecutor(
+        schedule, profiler=ref_prof, speed_policy=speed_policy
+    ).run_faulted(decisions, faults, DegradationPolicy.default())
+    assert new.overrun_detected and len(new.escalated) > 1
+    _assert_same(new_prof, ref_prof, new, ref)
+
+
 def _workload(name):
     if name == "figure1":
         # a slow fork τ₃ on pe1 and τ₈ behind a fast τ₂ on pe0: nothing

@@ -133,14 +133,6 @@ class TestRepoGate:
             d.to_dict() for d in second.all_diagnostics
         ]
 
-    def test_graph_cache_gives_identical_analysis(self, tmp_path):
-        cached = analyze_repo(ROOT, cache_dir=tmp_path)
-        warm = analyze_repo(ROOT, cache_dir=tmp_path)
-        fresh = analyze_repo(ROOT)
-        assert cached.report.to_json() == fresh.report.to_json()
-        assert warm.report.to_json() == fresh.report.to_json()
-        assert list(tmp_path.glob("callgraph-*.json"))
-
     def test_waived_findings_reported_not_gating(self):
         analysis = analyze_repo(ROOT)
         assert all(d.code == "DET202" for d in analysis.waived)
