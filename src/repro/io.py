@@ -196,17 +196,22 @@ def load_instance(
 
     The platform is checked against the graph's task set and a shipped
     trace against the graph's branch structure.  A missing required key
-    or a wrong-typed field raises :class:`~repro.ctg.graph.CTGError`
-    (graph) or :class:`~repro.platform.mpsoc.PlatformError` (platform)
-    naming it.
+    or a wrong-typed field or section raises
+    :class:`~repro.ctg.graph.CTGError` (the instance or its graph) or
+    :class:`~repro.platform.mpsoc.PlatformError` (platform) naming it; a
+    trace that is not a list of objects raises :class:`ValueError`.
     """
     bundle = json.loads(Path(path).read_text())
+    if not isinstance(bundle, dict):
+        raise CTGError("instance: not a JSON object")
     _check_version(bundle)
     ctg = _load_section(bundle, "ctg", ctg_from_dict, CTGError)
     platform = _load_section(bundle, "platform", platform_from_dict, PlatformError)
     platform.validate_for(ctg.tasks())
     trace = bundle.get("trace")
     if trace is not None:
+        if not isinstance(trace, list) or not all(isinstance(v, dict) for v in trace):
+            raise ValueError("trace: not a JSON list of objects")
         validate_trace(ctg, trace)
     return ctg, platform, trace
 
@@ -218,6 +223,8 @@ def _load_section(
     raised as ``error`` naming it."""
     if key not in bundle:
         raise error(f"missing required key {key!r}")
+    if not isinstance(bundle[key], dict):
+        raise error(f"{key}: not a JSON object")
     try:
         return parse(bundle[key])
     except KeyError as exc:

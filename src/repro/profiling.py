@@ -113,9 +113,9 @@ name                              kind       canonical  description
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import ContextManager, Dict, Optional
 
 from .obs.metrics import VOCABULARY
 from .obs.trace import NULL_TRACER, Tracer
@@ -152,26 +152,14 @@ class StageProfiler:
     counters: Dict[str, int] = field(default_factory=dict)
     tracer: Tracer = field(default=NULL_TRACER, repr=False, compare=False)
 
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
+    def stage(self, name: str) -> ContextManager[None]:
         """Time a ``with``-block under ``name`` (re-entrant, additive).
 
         With an enabled tracer the block is also recorded as a
         ``category="stage"`` span, opened before the timer starts and
         closed after the dicts are updated (on an exception too).
         """
-        span = self.tracer.span(name, category="stage") if self.tracer.enabled else None
-        if span is not None:
-            span.__enter__()
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.timings[name] = self.timings.get(name, 0.0) + elapsed
-            self.calls[name] = self.calls.get(name, 0) + 1
-            if span is not None:
-                span.__exit__(None, None, None)
+        return _Stage(self, name)
 
     def count(self, name: str, amount: int = 1) -> None:
         """Bump a named counter; traced, :data:`EVENT_COUNTERS` bumps
@@ -247,6 +235,41 @@ class StageProfiler:
         return "\n".join(lines) if lines else "(no profiling data)"
 
 
+class _Stage:
+    """One :meth:`StageProfiler.stage` block.
+
+    A slotted class rather than a ``@contextmanager`` generator: the
+    executor times every replayed instance, and a generator's set-up
+    and tear-down, which fall outside the timed window, are a sizeable
+    fraction of a short replay.
+    """
+
+    __slots__ = ("_prof", "_name", "_span", "_start")
+
+    def __init__(self, prof: StageProfiler, name: str) -> None:
+        self._prof = prof
+        self._name = name
+
+    def __enter__(self) -> None:
+        tracer = self._prof.tracer
+        self._span = tracer.span(self._name, category="stage") if tracer.enabled else None
+        if self._span is not None:
+            self._span.__enter__()
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc_info: object) -> None:
+        elapsed = time.perf_counter() - self._start
+        prof, name = self._prof, self._name
+        prof.timings[name] = prof.timings.get(name, 0.0) + elapsed
+        prof.calls[name] = prof.calls.get(name, 0) + 1
+        if self._span is not None:
+            self._span.__exit__(None, None, None)
+
+
+#: The block of every null-profiler stage (``nullcontext`` is reusable).
+_NO_STAGE: ContextManager[None] = nullcontext()
+
+
 class _NullProfiler(StageProfiler):
     """Shared no-op sink for call sites given no profiler.
 
@@ -254,9 +277,8 @@ class _NullProfiler(StageProfiler):
     profiler unconditionally.  The dicts stay empty forever.
     """
 
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:  # noqa: ARG002
-        yield
+    def stage(self, name: str) -> ContextManager[None]:  # noqa: ARG002
+        return _NO_STAGE
 
     def count(self, name: str, amount: int = 1) -> None:  # noqa: ARG002
         pass

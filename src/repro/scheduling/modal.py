@@ -179,17 +179,15 @@ def modal_instance_energy(
 ) -> Tuple[float, float, bool]:
     """Execute one instance under modal speeds.
 
-    Returns ``(energy, finish_time, deadline_met)``.  Tasks start by
-    the schedule's :class:`~repro.scheduling.replay.ReplayPlan`, like
-    the executor's replay, but each activated task's speed comes from
-    the modal table using the decisions of its ancestor branch forks.
+    Returns ``(energy, finish_time, deadline_met)``.  The schedule's
+    :class:`~repro.scheduling.replay.ReplayPlan` decides which tasks run
+    and when they start, like the executor's replay, but each activated
+    task's speed comes from the modal table using the decisions of its
+    ancestor branch forks.
     """
-    from ..sim.vectors import scenario_from_decisions
-
     ctg = schedule.ctg
-    scenario = scenario_from_decisions(ctg.without_pseudo_edges(), decisions)
-    active = scenario.active
     plan = ReplayPlan.of(schedule)
+    active = plan.activate(decisions).active
     exponent = schedule.platform.dvfs.exponent
 
     finishes: Dict[str, float] = {}

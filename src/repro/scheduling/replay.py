@@ -20,6 +20,14 @@ task's in-edges with their delays and guards, and its or-node
 deciders) in the scheduled graph's topological order, so a replay never
 walks networkx edge views.  Speeds are not part of the plan: callers
 read each task's duration from the schedule at replay time.
+
+The plan also decides which tasks run (:meth:`ReplayPlan.activate`),
+by the paper's and/or semantics over the real edges of the same rows:
+a task with no real in-edge is active, an and-node when every real
+in-edge is taken, an or-node when any is, and an edge is taken when its
+source is active and its guard matches the decisions.
+:func:`repro.ctg.minterms.resolve_activation`, which walks the networkx
+graph, is the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -27,7 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Optional, Set, Tuple
 
+from ..ctg.conditions import ConditionProduct, Outcome
 from ..ctg.graph import NodeKind
+from ..ctg.minterms import Scenario
 from .schedule import Schedule
 
 #: one in-edge of a task: ``(src, delay, branch, label)`` — ``delay`` is
@@ -35,6 +45,12 @@ from .schedule import Schedule
 #: pseudo edge; ``branch``/``label`` name the guarding outcome of a
 #: conditional edge and are ``None`` otherwise
 Input = Tuple[str, Optional[float], Optional[str], Optional[str]]
+
+#: the activation rule of one task: ``(task, any_of, gates)`` — ``gates``
+#: are its real in-edges as ``(src, branch, label)``; ``any_of`` is true
+#: for an or-node with real in-edges (one taken edge activates it) and
+#: false otherwise (every gate must be taken; none means a source task)
+Gate = Tuple[str, bool, Tuple[Tuple[str, Optional[str], Optional[str]], ...]]
 
 
 @dataclass(frozen=True)
@@ -47,6 +63,10 @@ class ReplayPlan:
     inputs: Dict[str, Tuple[Input, ...]]
     #: or-node → the upstream branch forks that decide one of its inputs
     deciders: Dict[str, Tuple[str, ...]]
+    #: branch fork nodes, in ``ctg.branch_nodes()`` order
+    branches: Tuple[str, ...]
+    #: the activation rule of every task, in :attr:`order`
+    gates: Tuple[Gate, ...]
 
     @classmethod
     def of(cls, schedule: Schedule) -> "ReplayPlan":
@@ -66,6 +86,7 @@ class ReplayPlan:
         # task — ConditionalTaskGraph.deciding_branches, by one pass in
         # topological order instead of one upward search per or-node
         guards: Dict[str, FrozenSet[str]] = {}
+        gates = []
         for task in order:
             rows = []
             upstream: Set[str] = set()
@@ -84,9 +105,58 @@ class ReplayPlan:
                     rows.append((src, delay, branch, data.condition.label))
             inputs[task] = tuple(rows)
             guards[task] = frozenset(upstream)
-            if ctg.kind(task) is NodeKind.OR:
+            real = tuple(
+                (src, branch, label)
+                for src, delay, branch, label in rows
+                if delay is not None
+            )
+            is_or = ctg.kind(task) is NodeKind.OR
+            gates.append((task, is_or and bool(real), real))
+            if is_or:
                 deciders[task] = tuple(sorted(upstream))
-        return cls(order=order, inputs=inputs, deciders=deciders)
+        return cls(
+            order=order,
+            inputs=inputs,
+            deciders=deciders,
+            branches=tuple(ctg.branch_nodes()),
+            gates=tuple(gates),
+        )
+
+    def activate(self, decisions: Mapping[str, str]) -> Scenario:
+        """The scenario a full decision vector realises.
+
+        Its product holds the executed branches only (a branch that
+        never ran decides nothing).  Raises :class:`ValueError` naming
+        an activated branch that ``decisions`` leaves undecided.  The
+        walk counts an undecided guard as not taken; any activation
+        that needed it sits behind an active, undecided branch, which
+        the check after the walk rejects, so exactly the vectors
+        :func:`~repro.sim.vectors.scenario_from_decisions` rejects raise.
+        """
+        active: Set[str] = set()
+        for task, any_of, gates in self.gates:
+            # an or-node runs iff some gate is taken; an and-node (and
+            # a source task, which has no gates) iff none is untaken
+            hit = False
+            for src, branch, label in gates:
+                taken = src in active and (
+                    branch is None or decisions.get(branch) == label
+                )
+                if taken == any_of:
+                    hit = True
+                    break
+            if hit == any_of:
+                active.add(task)
+        outcomes = []
+        for branch in self.branches:
+            if branch in active:
+                label = decisions.get(branch)
+                if label is None:
+                    raise ValueError(
+                        f"decision vector leaves branch {branch!r} undecided"
+                    )
+                outcomes.append(Outcome(branch, label))
+        return Scenario(product=ConditionProduct(outcomes), active=frozenset(active))
 
     def start(
         self,

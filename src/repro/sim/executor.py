@@ -4,13 +4,17 @@ Given a schedule (mapping + order + DVFS speeds) and one branch
 decision vector, the executor replays the instance the way the MPSoC
 would run it:
 
-* only the tasks activated by the decisions execute;
-* each task starts by the start-time rule of the schedule's
-  :class:`~repro.scheduling.replay.ReplayPlan` — data arrival over the
-  taken edges, same-PE serialisation over pseudo edges, and the
+* only the tasks activated by the decisions execute, as the schedule's
+  :class:`~repro.scheduling.replay.ReplayPlan` resolves them from its
+  compiled guards (no networkx walk, no graph copy);
+* each task starts by the plan's start-time rule — data arrival over
+  the taken edges, same-PE serialisation over pseudo edges, and the
   paper's Example-1 wait of an or-node for its deciding branch forks;
 * energy is the sum over activated tasks of their DVFS-scaled energy
-  plus the transfer energy of the activated cross-PE edges.
+  plus the transfer energy of the taken cross-PE edges, summed from
+  rows compiled once per executor in the order
+  :meth:`~repro.scheduling.schedule.Schedule.scenario_energy` sums
+  them, so the totals are bit-identical.
 
 The result also reports whether the instance met the deadline; with
 schedules produced by this package that is guaranteed by construction
@@ -20,7 +24,7 @@ schedules produced by this package that is guaranteed by construction
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
 from ..check.tolerances import EXACT_EPS, TIME_EPS
 from ..ctg.minterms import Scenario
@@ -30,7 +34,7 @@ from ..profiling import StageProfiler, as_profiler
 from ..scheduling.policies import SpeedPolicy, resolve_speed_policy
 from ..scheduling.replay import ReplayPlan
 from ..scheduling.schedule import Schedule
-from .vectors import DecisionVector, scenario_from_decisions
+from .vectors import DecisionVector
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,8 @@ class InstanceResult:
 
 
 class InstanceExecutor:
-    """Reusable executor for one schedule (compiles its replay plan once).
+    """Reusable executor for one schedule (compiles its replay plan and
+    energy rows once, so the schedule must not change after).
 
     ``profiler`` (optional) accumulates the ``executor.replay`` stage
     timing and the ``executor.instances`` counter across :meth:`run`
@@ -110,9 +115,30 @@ class InstanceExecutor:
         self._tracer = self._prof.tracer
         self._policy = resolve_speed_policy(speed_policy)
         self._esc_speeds: Dict[str, float] = {}
-        self._real_ctg = schedule.ctg.without_pseudo_edges()
         self._plan = ReplayPlan.of(schedule)
         self._worst_case: Optional[Dict[str, Tuple[float, float]]] = None
+        # the terms of Schedule.scenario_energy, compiled once: each
+        # placed task's static energy in sorted task order, and each real
+        # edge's transfer energy in graph edge order (zero rows dropped:
+        # adding 0.0 to the non-negative sum leaves its bits unchanged)
+        exponent = schedule.platform.dvfs.exponent
+        placements = schedule.placements
+        self._comp_rows: Tuple[Tuple[str, float], ...] = tuple(
+            (task, placements[task].energy(exponent)) for task in sorted(placements)
+        )
+        comm_rows = []
+        for src, dst, data in schedule.ctg.edges(include_pseudo=False):
+            if src not in placements or dst not in placements:
+                continue
+            energy = schedule.platform.comm_energy(
+                placements[src].pe, placements[dst].pe, data.comm_kbytes
+            )
+            if energy:
+                guard = data.condition
+                branch = None if guard is None else guard.branch
+                label = None if guard is None else guard.label
+                comm_rows.append((src, dst, branch, label, energy))
+        self._comm_rows = tuple(comm_rows)
 
     def _escalation_speed(self, pe_name: str) -> float:
         """Escalation ceiling of a PE: the policy's top level."""
@@ -123,6 +149,23 @@ class InstanceExecutor:
             speed = self._policy.escalation_speed(pe)
             self._esc_speeds[pe_name] = speed
             return speed
+
+    def _static_energy(
+        self, active: FrozenSet[str], decisions: DecisionVector
+    ) -> Tuple[float, float]:
+        """``(computation, total)`` energy of the activated tasks at their
+        static speeds: :meth:`Schedule.scenario_energy`, term for term."""
+        comp = 0.0
+        for task, energy in self._comp_rows:
+            if task in active:
+                comp += energy
+        total = comp
+        for src, dst, branch, label, energy in self._comm_rows:
+            if src in active and dst in active and (
+                branch is None or decisions[branch] == label
+            ):
+                total += energy
+        return comp, total
 
     def run(
         self,
@@ -141,7 +184,7 @@ class InstanceExecutor:
         """
         with self._prof.stage("executor.replay"):
             result = self._run(decisions, work_ratios)
-        self._prof.count("executor.instances")
+            self._prof.count("executor.instances")
         if self._tracer.enabled:
             self._emit_instance_spans(result, decisions)
         return result
@@ -218,7 +261,7 @@ class InstanceExecutor:
         ratios = work_ratios or {}
         if reclaiming and self._worst_case is None:
             self._worst_case = schedule.worst_case_times()
-        scenario = scenario_from_decisions(self._real_ctg, decisions)
+        scenario = plan.activate(decisions)
         active = scenario.active
 
         starts: Dict[str, float] = {}
@@ -265,14 +308,10 @@ class InstanceExecutor:
             finishes[task] = start + duration
 
         finish_time = max(finishes.values(), default=0.0)
-        energy = schedule.scenario_energy(scenario)
+        static_comp, energy = self._static_energy(active, decisions)
         if dynamic:
-            # scenario_energy at static speeds minus its computation
-            # part leaves exactly the communication energy of the scenario
-            static_comp = 0.0
-            for task in sorted(active):
-                if task in schedule.placements:
-                    static_comp += schedule.placements[task].energy(exponent)
+            # the static energy minus its computation part leaves exactly
+            # the communication energy of the scenario
             energy = energy - static_comp + comp_energy
         deadline = schedule.ctg.deadline
         return InstanceResult(
@@ -334,8 +373,8 @@ class InstanceExecutor:
             )
         with self._prof.stage("executor.replay_faulted"):
             result = self._run_faulted(decisions, faults, policy)
-        self._prof.count("executor.instances")
-        self._prof.count("executor.faulted_instances")
+            self._prof.count("executor.instances")
+            self._prof.count("executor.faulted_instances")
         if self._tracer.enabled:
             self._emit_instance_spans(
                 result, decisions, edge_factors=faults.edge_factors
@@ -351,7 +390,7 @@ class InstanceExecutor:
         schedule = self.schedule
         deadline = schedule.ctg.deadline
         exponent = schedule.platform.dvfs.exponent
-        scenario = scenario_from_decisions(self._real_ctg, decisions)
+        scenario = self._plan.activate(decisions)
         active = scenario.active
         if self._worst_case is None:
             self._worst_case = schedule.worst_case_times()
@@ -477,7 +516,7 @@ class InstanceExecutor:
 
         finish_b = max(finishes_b.values(), default=0.0)
         finish_p = max(finishes_p.values(), default=0.0)
-        base_energy = schedule.scenario_energy(scenario)
+        base_energy = self._static_energy(active, decisions)[1]
         met = deadline <= 0 or finish_p <= deadline + TIME_EPS
         met_b = deadline <= 0 or finish_b <= deadline + TIME_EPS
         quantization_loss = False

@@ -30,13 +30,19 @@ def scenario_from_decisions(
     The returned scenario's condition product contains only the
     branches that actually executed (an inner branch deactivated by an
     outer decision contributes nothing, matching the paper's minterms).
+    Raises :class:`ValueError` naming an executed branch that
+    ``decisions`` leaves undecided.
     """
     active, unresolved = resolve_activation(ctg, decisions)
+    executed = [b for b in ctg.branch_nodes() if b in active]
+    if unresolved is None:
+        # an executed branch no activation depended on: it has declared
+        # outcomes only, or other edges decide every node it guards
+        unresolved = next((b for b in executed if b not in decisions), None)
     if unresolved is not None:
         raise ValueError(
             f"decision vector leaves branch {unresolved!r} undecided"
         )
-    executed = [b for b in ctg.branch_nodes() if b in active]
     product = ConditionProduct(
         Outcome(branch, decisions[branch]) for branch in executed
     )

@@ -6,9 +6,13 @@ InstanceExecutor` replaced, kept as a test oracle: its three walks
 and slack reclamation, ``_run_faulted`` for the two-arm faulted replay)
 and its span emission each spell out the Example-1 start-time rule
 over the networkx in-edge views, instead of reading one compiled
-:class:`~repro.scheduling.replay.ReplayPlan`.  The production executor
-must return equal :class:`~repro.sim.executor.InstanceResult` records,
-bit for bit, and trace equal ``sim.task``/``sim.link`` spans (see
+:class:`~repro.scheduling.replay.ReplayPlan`; it also resolves the
+active set with ``scenario_from_decisions`` on a pseudo-edge-free copy
+and sums energy with ``Schedule.scenario_energy``, where the production
+executor reads the plan's activation and its own compiled energy rows.
+The production executor must return equal
+:class:`~repro.sim.executor.InstanceResult` records, bit for bit, and
+trace equal ``sim.task``/``sim.link`` spans (see
 ``tests/test_replay.py``).
 
 :class:`ReferenceExecutor` has the constructor and the ``run`` /

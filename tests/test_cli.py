@@ -61,8 +61,18 @@ class TestCli:
     )
     @pytest.mark.parametrize(
         "mutation, message",
-        [("no-ctg", "missing required key 'ctg'"), ("text-speed", "min_speed must be a number")],
-        ids=["no-ctg", "text-speed"],
+        [
+            ("no-ctg", "missing required key 'ctg'"),
+            ("text-speed", "min_speed must be a number"),
+            ("number-ctg", "ctg: not a JSON object"),
+            ("text-platform", "platform: not a JSON object"),
+            ("list-instance", "instance: not a JSON object"),
+            ("number-trace", "trace: not a JSON list"),
+        ],
+        ids=[
+            "no-ctg", "text-speed", "number-ctg", "text-platform",
+            "list-instance", "number-trace",
+        ],
     )
     def test_malformed_instance_is_a_message(
         self, tmp_path, capsys, verb, code, prefix, mutation, message
@@ -74,8 +84,16 @@ class TestCli:
         bundle = json.loads(path.read_text())
         if mutation == "no-ctg":
             del bundle["ctg"]
-        else:
+        elif mutation == "text-speed":
             bundle["platform"]["pes"][0]["min_speed"] = "fast"
+        elif mutation == "number-ctg":
+            bundle["ctg"] = 5
+        elif mutation == "text-platform":
+            bundle["platform"] = "x"
+        elif mutation == "list-instance":
+            bundle = [bundle]
+        else:
+            bundle["trace"] = 5
         path.write_text(json.dumps(bundle))
         assert main([verb, str(path)]) == code
         err = capsys.readouterr().err

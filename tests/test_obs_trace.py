@@ -206,6 +206,19 @@ class TestTracingProfiler:
             pass
         assert tracer.spans[1].parent == -1  # the failed span was popped
 
+    def test_traced_stage_span_encloses_its_timed_window(self):
+        """The span opens before the timer starts and closes after the
+        dicts are updated, so it is never shorter than the timing."""
+        tracer = Tracer()
+        prof = StageProfiler(tracer=tracer)
+        for _ in range(50):
+            with prof.stage("executor.replay"):
+                sum(range(100))
+        assert len(tracer.spans) == 50
+        assert sum(s.end - s.start for s in tracer.spans) >= prof.timings["executor.replay"]
+        for span in tracer.spans:
+            assert span.end > span.start
+
     def test_to_dict_and_from_dict_ignore_the_tracer(self):
         prof = StageProfiler(tracer=Tracer())
         self._exercise(prof)

@@ -5,30 +5,32 @@
 keeps the walks that spelled the Example-1 rule out over the networkx
 edge views.  On generated CTGs (DLS pseudo edges, nested branches,
 stretched or quantised speeds) both must return equal
-:class:`InstanceResult` records — compared by ``repr``, so every float
-bit and every dict order counts — record the same profiler counters and
+:class:`InstanceResult` records — equal scenarios, and every other field
+compared by ``repr``, so every float bit and every dict order counts —
+record the same profiler counters and
 trace the same ``sim.task``/``sim.link`` spans, for WCET replays,
 sampled work ratios, slack reclamation and injected faults under both
 degradation policies.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import workloads
-from repro.ctg import NodeKind, enumerate_scenarios, figure1_ctg
+from repro.ctg import ConditionalTaskGraph, NodeKind, enumerate_scenarios, figure1_ctg
 from repro.faults.injectors import InstanceFaults
 from repro.faults.policy import DegradationPolicy
 from repro.obs.trace import Tracer
 from repro.platform import Platform, PlatformConfig, ProcessingElement, generate_platform
 from repro.profiling import StageProfiler
-from repro.scheduling import schedule_online, set_deadline_from_makespan
+from repro.scheduling import dls_schedule, schedule_online, set_deadline_from_makespan
 from repro.scheduling.policies import DiscreteSpeedPolicy, resolve_speed_policy
 from repro.scheduling.replay import ReplayPlan
-from repro.sim import InstanceExecutor
+from repro.sim import InstanceExecutor, scenario_from_decisions
 
 from .instances import build_instance, decisions_of
 from .oracles.executor import ReferenceExecutor
@@ -78,7 +80,10 @@ def _random_decisions(rng, ctg):
 
 
 def _assert_same(new_prof, ref_prof, new, ref):
-    assert repr(new) == repr(ref)
+    # the scenario by equality (its ``active`` frozenset iterates in an
+    # order that carries no meaning), every other field by ``repr``
+    assert new.scenario == ref.scenario
+    assert repr(replace(new, scenario=None)) == repr(replace(ref, scenario=None))
     assert new_prof.counters == ref_prof.counters
     assert _sim_spans(new_prof) == _sim_spans(ref_prof)
 
@@ -220,3 +225,121 @@ def test_plan_of_unplaced_schedule_does_not_raise():
     assert "t4" in plan.order
     assert ("t4", 0.0, None, None) in plan.inputs["t8"]
     assert ("t3", 0.0, "t3", "a1") in plan.inputs["t4"]
+
+
+# ----------------------------------------------------------------------
+# Activation: ReplayPlan.activate against scenario_from_decisions
+# ----------------------------------------------------------------------
+@st.composite
+def _random_graphs(draw):
+    """A random DAG with random and/or kinds and branch forks anywhere.
+
+    Unlike the generator's fork-join shapes, and-nodes here may join a
+    guarded arm with an unguarded edge, and or-nodes may join any
+    edges, so flipping a node's kind changes the active set.
+    """
+    n = draw(st.integers(3, 12))
+    names = [f"t{i}" for i in range(n)]
+    ctg = ConditionalTaskGraph("random")
+    for name in names:
+        ctg.add_task(name, draw(st.sampled_from([NodeKind.AND, NodeKind.OR])))
+    forks = {name for name in names[:-1] if draw(st.booleans())}
+    for j in range(1, n):
+        for i in range(j):
+            if draw(st.integers(0, 2)) != 0:  # an edge with probability 1/3
+                continue
+            src = names[i]
+            if src in forks:
+                label = draw(st.sampled_from(["a", "b", "c"]))
+                ctg.add_conditional_edge(src, names[j], f"{src}{label}", comm_kbytes=1.0)
+            else:
+                ctg.add_edge(src, names[j], comm_kbytes=1.0)
+    for fork in forks:
+        # every fork has ≥ 2 outcomes even when it guards fewer edges
+        labels = [f"{fork}{x}" for x in "abc"]
+        ctg.declare_outcomes(fork, labels)
+        ctg.default_probabilities[fork] = {label: 1 / 3 for label in labels}
+    return ctg
+
+
+def _scheduled(ctg, pes, seed):
+    """The DLS schedule of ``ctg``: its graph carries pseudo edges."""
+    platform = generate_platform(ctg.tasks(), PlatformConfig(pes=pes, seed=seed))
+    return dls_schedule(ctg, platform)
+
+
+def _assert_activation_matches(schedule, decisions):
+    plan = ReplayPlan.of(schedule)
+    real = schedule.ctg.without_pseudo_edges()
+    try:
+        expected = scenario_from_decisions(real, decisions)
+    except ValueError:
+        with pytest.raises(ValueError, match="undecided"):
+            plan.activate(decisions)
+        return None
+    scenario = plan.activate(decisions)
+    assert scenario.active == expected.active
+    assert scenario.product == expected.product
+    assert str(scenario.product) == str(expected.product)
+    return scenario
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ctg=_random_graphs(),
+    pes=st.integers(1, 3),
+    seed=st.integers(0, 100),
+    data=st.data(),
+)
+def test_plan_activation_matches_oracle_on_random_graphs(ctg, pes, seed, data):
+    schedule = _scheduled(ctg, pes, seed)
+    for _ in range(4):
+        full = {b: data.draw(st.sampled_from(ctg.outcomes_of(b))) for b in ctg.branch_nodes()}
+        assert _assert_activation_matches(schedule, full) is not None
+        dropped = {b: label for b, label in full.items() if data.draw(st.booleans())}
+        _assert_activation_matches(schedule, dropped)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    nodes=st.integers(10, 30),
+    branches=st.integers(1, 5),
+    category=st.sampled_from([1, 2]),
+    pes=st.integers(2, 4),
+    seed=st.integers(0, 500),
+    replay_seed=st.integers(0, 2**16),
+)
+def test_plan_activation_matches_oracle_on_generated_ctgs(
+    nodes, branches, category, pes, seed, replay_seed
+):
+    """Nested fork-join branches with or-node joins, scheduled by DLS;
+    every full vector matches, and dropping one executed branch from a
+    vector raises on both sides."""
+    try:
+        ctg, platform = build_instance(nodes, branches, category, pes, seed, 1.3)
+    except ValueError:
+        return
+    schedule = dls_schedule(ctg, platform)
+    rng = random.Random(replay_seed)
+    for _ in range(6):
+        decisions = _random_decisions(rng, ctg)
+        scenario = _assert_activation_matches(schedule, decisions)
+        executed = scenario.product.branches
+        if executed:
+            missing = dict(decisions)
+            del missing[rng.choice(executed)]
+            assert _assert_activation_matches(schedule, missing) is None
+
+
+def test_plan_activation_of_figure1():
+    """Example 1: a₁ skips the inner fork τ₅, whose decision is then not
+    part of the product; under a₂ it is needed."""
+    ctg = figure1_ctg()
+    platform = generate_platform(ctg.tasks(), PlatformConfig(pes=2, seed=6))
+    plan = ReplayPlan.of(dls_schedule(ctg, platform))
+    scenario = plan.activate({"t3": "a1", "t5": "b1"})
+    assert scenario.active == frozenset({"t1", "t2", "t3", "t4", "t8"})
+    assert str(scenario.product) == "a1"
+    assert str(plan.activate({"t3": "a2", "t5": "b2"}).product) == "a2b2"
+    with pytest.raises(ValueError, match="'t5' undecided"):
+        plan.activate({"t3": "a2"})
