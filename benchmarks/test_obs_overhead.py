@@ -11,14 +11,17 @@ path (controller, runners, executor).  Two promises keep it honest:
   ``benchmarks/baselines/bench_quick.json``;
 * **enabled** — full tracing (stage spans, per-task simulated spans,
   link spans, events) may cost at most :data:`MAX_TRACING_OVERHEAD`
-  relative to the untraced run on the same MPEG trace, and must not
-  change the results (energies and profile are asserted identical).
+  relative to the untraced run on the same MPEG trace (the median of
+  :data:`TRACING_PAIRS` pairs, alternating which arm runs first), and
+  must not change the results (energies and profile are asserted
+  identical on every pair).
 
 Setting ``REPRO_BENCH_QUICK=1`` shortens the trace for CI runs; the
 overhead assertions are unchanged.
 """
 
 import os
+import statistics
 import time
 
 from repro.adaptive.controller import AdaptiveConfig
@@ -36,6 +39,8 @@ TRACE_LENGTH = 120 if QUICK else 400
 #: leaves room for the per-task simulated spans without tolerating
 #: anything super-linear
 MAX_TRACING_OVERHEAD = 1.25
+#: untraced/traced pairs timed; the gate reads their median ratio
+TRACING_PAIRS = 5
 
 
 def _problem():
@@ -61,20 +66,16 @@ def _run(tracer=None):
     return result, time.perf_counter() - started
 
 
-def run_overhead_bench():
-    untraced, null_seconds = _run(tracer=None)
+def run_overhead_pair(traced_first: bool = False):
+    """One untraced and one fully traced run, in the order given."""
     tracer = Tracer()
-    traced, traced_seconds = _run(tracer=tracer)
-    overhead = traced_seconds / null_seconds
-    lines = [
-        f"tracing overhead — {TRACE_LENGTH}-instance MPEG adaptive trace",
-        f"  untraced (NULL_TRACER) : {null_seconds * 1e3:8.1f} ms",
-        f"  fully traced           : {traced_seconds * 1e3:8.1f} ms",
-        f"  overhead               : {overhead:8.2f}x  (bound {MAX_TRACING_OVERHEAD}x)",
-        f"  spans recorded         : {len(tracer.spans)}",
-        f"  events recorded        : {len(tracer.events)}",
-    ]
-    return untraced, traced, overhead, "\n".join(lines)
+    if traced_first:
+        traced, traced_seconds = _run(tracer=tracer)
+        untraced, null_seconds = _run(tracer=None)
+    else:
+        untraced, null_seconds = _run(tracer=None)
+        traced, traced_seconds = _run(tracer=tracer)
+    return untraced, traced, traced_seconds / null_seconds, tracer
 
 
 def test_adaptive_untraced_hotpath(benchmark, archive):
@@ -93,15 +94,43 @@ def test_adaptive_untraced_hotpath(benchmark, archive):
 
 
 def test_full_tracing_overhead(benchmark, archive):
-    untraced, traced, overhead, report = benchmark.pedantic(
-        run_overhead_bench, rounds=1, iterations=1
+    """Median traced/untraced ratio over :data:`TRACING_PAIRS` pairs.
+
+    Each benchmark round is one pair, so the gated mean keeps the scale
+    of a single pair; the order alternates so neither arm always runs
+    on a colder process.
+    """
+    pairs = []
+
+    def run_pair():
+        pairs.append(run_overhead_pair(traced_first=len(pairs) % 2 == 1))
+
+    benchmark.pedantic(run_pair, rounds=TRACING_PAIRS, iterations=1)
+    assert len(pairs) == TRACING_PAIRS
+    ratios = []
+    for untraced, traced, ratio, tracer in pairs:
+        # tracing must not change the run
+        assert traced.energies == untraced.energies
+        assert traced.profile.counters == untraced.profile.counters
+        assert traced.profile.calls == untraced.profile.calls
+        ratios.append(ratio)
+    overhead = statistics.median(ratios)
+    archive(
+        "obs_tracing_overhead",
+        "\n".join(
+            [
+                f"tracing overhead — {TRACE_LENGTH}-instance MPEG adaptive trace, "
+                f"{TRACING_PAIRS} alternating pairs",
+                f"  traced/untraced ratios : {', '.join(f'{r:.2f}' for r in ratios)}",
+                f"  median overhead        : {overhead:8.2f}x  "
+                f"(bound {MAX_TRACING_OVERHEAD}x)",
+                f"  spans recorded         : {len(tracer.spans)}",
+                f"  events recorded        : {len(tracer.events)}",
+            ]
+        ),
     )
-    archive("obs_tracing_overhead", report)
     benchmark.extra_info["overhead"] = round(overhead, 2)
-    # tracing must not change the run
-    assert traced.energies == untraced.energies
-    assert traced.profile.counters == untraced.profile.counters
-    assert traced.profile.calls == untraced.profile.calls
     assert overhead <= MAX_TRACING_OVERHEAD, (
-        f"full tracing costs {overhead:.2f}x, bound is {MAX_TRACING_OVERHEAD}x"
+        f"full tracing costs {overhead:.2f}x (median of {TRACING_PAIRS} pairs), "
+        f"bound is {MAX_TRACING_OVERHEAD}x"
     )

@@ -47,6 +47,7 @@ speedup and correctness assertions are unchanged.
 
 import gc
 import os
+import statistics
 import time
 
 from repro.adaptive.controller import AdaptiveConfig
@@ -69,6 +70,8 @@ DRIFT = 0.1
 #: CI regression mode: same benches, smaller workload
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 HOTPATH_CYCLES = 2 if QUICK else 6
+#: timed rounds of the speedup gate; it reads their median speedup
+HOTPATH_ROUNDS = 3
 CRUISE_TRACE_LENGTH = 100 if QUICK else 300
 FLIP_TRACE_LENGTH = 50 if QUICK else 200
 BUILD_ROUNDS = 1 if QUICK else 3
@@ -181,8 +184,23 @@ def run_hotpath_bench(cycles: int = HOTPATH_CYCLES):
 
 
 def test_reschedule_hotpath_speedup(benchmark, archive):
-    speedup, report = benchmark.pedantic(run_hotpath_bench, rounds=1, iterations=1)
-    archive("reschedule_hotpath", report)
+    """Median speedup over :data:`HOTPATH_ROUNDS` rounds.
+
+    Each benchmark round is one full pass of both arms, so the gated
+    mean keeps the per-round scale of the committed baseline.
+    """
+    runs = []
+    benchmark.pedantic(
+        lambda: runs.append(run_hotpath_bench()), rounds=HOTPATH_ROUNDS, iterations=1
+    )
+    speedups = [speedup for speedup, _report in runs]
+    speedup = statistics.median(speedups)
+    archive(
+        "reschedule_hotpath",
+        runs[-1][1]
+        + f"\nspeedup per round: {', '.join(f'{s:.2f}x' for s in speedups)}"
+        f" (median {speedup:.2f}x)",
+    )
     benchmark.extra_info["speedup"] = round(speedup, 2)
     assert speedup > 3.0, f"hot path only {speedup:.2f}x faster than seed behaviour"
 

@@ -550,64 +550,9 @@ def _load_target(name: str, deadline_factor: float):
     return ctg, platform
 
 
-def _cmd_check_repo(args: argparse.Namespace) -> int:
-    """``repro check --repo``: the repository static-analysis gate."""
-    from .check.baseline import DEFAULT_BASELINE_NAME, load_baseline, write_baseline
-    from .check.repo import analyze_repo
-    from .check.sarif import render_sarif
-
-    root = Path(args.root)
-    baseline_path = (
-        Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE_NAME
-    )
-    analysis = analyze_repo(root, baseline_path=baseline_path)
-
-    if args.update_baseline:
-        existing = load_baseline(baseline_path)
-        still_matching = [
-            w for w in existing if w not in analysis.unused_waivers
-        ]
-        written = write_baseline(
-            baseline_path,
-            analysis.report.diagnostics,
-            reason="TODO: justify this waiver",
-            keep=still_matching,
-        )
-        print(f"wrote {baseline_path} with {len(written)} waivers")
-        return 0
-
-    from . import __version__
-
-    sarif_text = render_sarif(
-        analysis.report.diagnostics, tool_version=__version__
-    )
-    if args.sarif_out:
-        Path(args.sarif_out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.sarif_out).write_text(sarif_text + "\n", encoding="utf-8")
-
-    if args.format == "sarif":
-        print(sarif_text)
-    elif args.format == "json" or args.json:
-        print(analysis.report.to_json())
-    else:
-        print(analysis.report.render_text(header="repository analysis"))
-        if analysis.waived:
-            print(f"({len(analysis.waived)} findings waived by {baseline_path.name})")
-    failed = not analysis.ok
-    for waiver in analysis.unused_waivers:
-        print(
-            f"stale baseline waiver matches nothing: {waiver.to_dict()}",
-            file=sys.stderr,
-        )
-        failed = True
-    return 1 if failed else 0
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
-    if args.repo:
-        return _cmd_check_repo(args)
     if not args.targets:
-        print("check: provide TARGET names or use --repo", file=sys.stderr)
+        print("check: provide one or more TARGET names", file=sys.stderr)
         return 2
     from .check import check_instance
     from .ctg import CTGError
@@ -1000,41 +945,6 @@ def main(argv=None) -> int:
         "checking an online schedule)",
     )
     check.add_argument("--json", action="store_true", help="emit reports as JSON")
-    check.add_argument(
-        "--repo",
-        action="store_true",
-        help="run the repository static analysis (AST lint + call-graph "
-        "flow rules) instead of verifying workload instances",
-    )
-    check.add_argument(
-        "--root",
-        default=".",
-        metavar="DIR",
-        help="repository root for --repo (default: current directory)",
-    )
-    check.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="--repo report format (sarif = SARIF 2.1.0 for code scanning)",
-    )
-    check.add_argument(
-        "--sarif-out",
-        default=None,
-        metavar="FILE",
-        help="also write the --repo SARIF report to FILE",
-    )
-    check.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="waiver baseline for --repo (default: <root>/lint-baseline.json)",
-    )
-    check.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to waive every current --repo finding",
-    )
     check.set_defaults(func=_cmd_check)
 
     trace = sub.add_parser(

@@ -180,7 +180,7 @@ class BatchSchedule:
         for s, scenario in enumerate(scenarios):
             # setting boolean flags is order-independent, so unsorted
             # set iteration is safe here
-            for task in scenario.active:  # lint: ignore[DET201]
+            for task in scenario.active:
                 idx = task_index.get(task)
                 if idx is not None:
                     active[s, idx] = True

@@ -1,4 +1,4 @@
-"""Static verification subsystem: checkers, diagnostics, repo lint.
+"""Static verification subsystem: checkers, diagnostics, AST lint.
 
 Layering note: this package sits *both below and above* the rest of
 ``repro``.  The diagnostics core and the shared tolerance constants
@@ -29,16 +29,11 @@ from .tolerances import EXACT_EPS, PROB_EPS, SPEED_EPS, TIME_EPS
 
 if TYPE_CHECKING:  # pragma: no cover - static-analysis aid only
     from .api import CheckError, assert_clean, check_instance, verify_schedule
-    from .baseline import Waiver, apply_baseline, load_baseline, write_baseline
     from .cache_checks import check_pathcache
-    from .callgraph import CallGraph, build_callgraph
     from .ctg_checks import check_ctg, check_probability_table
     from .fault_checks import check_fault_plan
     from .feasibility import check_scenario_feasibility, scenario_finish_time
-    from .flow import analyze_modules, analyze_source
     from .platform_checks import check_frequency_tables, check_platform
-    from .repo import RepoAnalysis, analyze_repo
-    from .sarif import render_sarif, sarif_payload, validate_sarif
     from .schedule_checks import check_schedule
 
 #: Lazily resolved names → owning submodule (PEP 562).
@@ -56,19 +51,6 @@ _LAZY = {
     "scenario_finish_time": "feasibility",
     "check_pathcache": "cache_checks",
     "check_fault_plan": "fault_checks",
-    "CallGraph": "callgraph",
-    "build_callgraph": "callgraph",
-    "analyze_modules": "flow",
-    "analyze_source": "flow",
-    "RepoAnalysis": "repo",
-    "analyze_repo": "repo",
-    "render_sarif": "sarif",
-    "sarif_payload": "sarif",
-    "validate_sarif": "sarif",
-    "Waiver": "baseline",
-    "apply_baseline": "baseline",
-    "load_baseline": "baseline",
-    "write_baseline": "baseline",
 }
 
 __all__ = [

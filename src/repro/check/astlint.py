@@ -94,9 +94,7 @@ def suppression_table(source: str) -> Dict[int, Optional[Set[str]]]:
 
     A ``# lint: ignore`` comment suppresses every code on its line; the
     bracketed form names one or more comma-separated codes
-    (``# lint: ignore[AST101,DET201]``).  The flow-rule engine
-    (:mod:`repro.check.flow`) consumes the same syntax, so one waiver
-    comment can silence findings of both analysers on a line.
+    (``# lint: ignore[AST101,AST103]``).
     """
     table: Dict[int, Optional[Set[str]]] = {}
     for lineno, line in enumerate(source.splitlines(), start=1):
@@ -109,24 +107,6 @@ def suppression_table(source: str) -> Dict[int, Optional[Set[str]]]:
         else:
             table[lineno] = {c.strip() for c in codes.split(",") if c.strip()}
     return table
-
-
-def apply_suppressions(
-    source: str, found: Iterable[Tuple[str, int, int, str]]
-) -> List[Tuple[str, int, int, str]]:
-    """Drop ``(code, lineno, col, message)`` findings waived in ``source``."""
-    suppressed = suppression_table(source)
-    survivors = []
-    for code, lineno, col, message in found:
-        waiver = suppressed.get(lineno, "absent")
-        if waiver is None or (waiver != "absent" and code in waiver):
-            continue
-        survivors.append((code, lineno, col, message))
-    return survivors
-
-
-#: Backwards-compatible alias (pre-column-numbers name).
-_suppressions = suppression_table
 
 
 def _call_name(node: ast.Call) -> Optional[str]:
@@ -381,13 +361,17 @@ def lint_source(
     tree = ast.parse(source, filename=filename)
     linter = _Linter(filename, float_eq_exempt, tolerance_home)
     linter.visit(tree)
-    survivors = apply_suppressions(
-        source, sorted(linter.found, key=lambda f: (f[1], f[2], f[0]))
-    )
-    return [
-        Diagnostic(code, message, subject=f"{filename}:{lineno}:{col}")
-        for code, lineno, col, message in survivors
-    ]
+    waivers = suppression_table(source)
+    diagnostics = []
+    for code, lineno, col, message in sorted(
+        linter.found, key=lambda f: (f[1], f[2], f[0])
+    ):
+        if lineno in waivers and (waivers[lineno] is None or code in waivers[lineno]):
+            continue
+        diagnostics.append(
+            Diagnostic(code, message, subject=f"{filename}:{lineno}:{col}")
+        )
+    return diagnostics
 
 
 def lint_paths(paths: Sequence[Path]) -> CheckReport:

@@ -10,13 +10,14 @@ code, and a test asserts the two never drift apart.
 Design rules for codes:
 
 * a code never changes meaning once shipped — new findings get new
-  codes, retired checks leave their code reserved;
+  codes, retired checks leave their code reserved (the retired
+  source-flow decades ``DET2xx``, ``NUM3xx`` and ``ENG4xx`` stay
+  unused);
 * the prefix names the layer that owns the invariant (``CTG`` graph
   structure, ``PLAT`` platform spec, ``SCHED`` schedule soundness and
   feasibility, ``LINK`` communication bookings, ``CACHE`` path-cache
-  consistency, ``AST`` repository source lint, ``DET`` determinism
-  flow rules, ``NUM`` numeric hazards, ``ENG`` experiment-engine
-  purity, ``FAULT`` fault-plan validity);
+  consistency, ``AST`` repository source lint, ``FAULT`` fault-plan
+  validity);
 * the numeric part groups related checks in decades (e.g. ``SCHED02x``
   are placement-exclusivity checks, ``SCHED03x`` deadline feasibility).
 
@@ -101,19 +102,6 @@ CODE_TABLE: Tuple[CodeInfo, ...] = (
     CodeInfo("AST102", "blind exception handler", Severity.ERROR),
     CodeInfo("AST103", "float equality comparison", Severity.ERROR),
     CodeInfo("AST104", "private tolerance constant", Severity.ERROR),
-    # -- determinism flow rules -----------------------------------------
-    CodeInfo("DET201", "unordered set iteration on a canonical path", Severity.ERROR),
-    CodeInfo("DET202", "wall-clock value can reach a canonical output", Severity.ERROR),
-    CodeInfo("DET203", "unseeded global random source", Severity.ERROR),
-    CodeInfo("DET204", "unsorted filesystem enumeration", Severity.ERROR),
-    # -- numeric hazards -------------------------------------------------
-    CodeInfo("NUM301", "bit-shift on a possibly-numpy integer", Severity.ERROR),
-    CodeInfo("NUM302", "float-array equality comparison", Severity.ERROR),
-    CodeInfo("NUM303", "accumulation into a dtype-unspecified array", Severity.ERROR),
-    # -- experiment-engine purity ----------------------------------------
-    CodeInfo("ENG401", "cell function is not module-level picklable", Severity.ERROR),
-    CodeInfo("ENG402", "cell function writes a module global", Severity.ERROR),
-    CodeInfo("ENG403", "cell function mutates its argument", Severity.ERROR),
     # -- fault plans -----------------------------------------------------
     CodeInfo("FAULT001", "unknown injector kind", Severity.ERROR),
     CodeInfo("FAULT002", "firing rate outside [0, 1]", Severity.ERROR),
@@ -151,11 +139,10 @@ class Diagnostic:
     severity:
         Defaults to the code's registered severity.
     symbol:
-        Optional stable symbol the finding anchors to (for source-lint
-        findings: the qualified name of the enclosing function, e.g.
-        ``repro.io:canonical_json``).  Line numbers drift with edits;
-        the waiver baseline (:mod:`repro.check.baseline`) matches on
-        this instead.
+        Optional stable symbol the finding anchors to (e.g. the
+        qualified name of a function, ``repro.io:canonical_json``),
+        which survives the line-number drift of unrelated edits.  No
+        built-in checker sets it; it is kept in the JSON schema.
     """
 
     code: str

@@ -101,7 +101,7 @@ def _scenario_cost(platform, scenario) -> float:
     """Energy proxy of a scenario: total average-WCET of its tasks
     (energy tracks cycles under the unit-capacitance model)."""
     # sorted: float summation is order-sensitive and set iteration is
-    # hash-seed-dependent; the cell value must be bit-stable (DET201)
+    # hash-seed-dependent; the cell value must be bit-stable
     return sum(platform.average_wcet(task) for task in sorted(scenario.active))
 
 

@@ -212,6 +212,10 @@ class TestCheckVerb:
         assert "cannot load target" in captured.err
         assert "check passed" in captured.out  # the good target still ran
 
+    def test_check_without_targets_errors(self, capsys):
+        assert main(["check"]) == 2
+        assert "provide one or more TARGET names" in capsys.readouterr().err
+
     def test_schedule_with_check_flag(self, tmp_path, capsys):
         ctg = figure1_ctg()
         platform = generate_platform(ctg.tasks(), PlatformConfig(pes=2, seed=5))

@@ -69,7 +69,7 @@ class TestDiagnostic:
 
     def test_symbol_round_trips(self):
         d = Diagnostic(
-            "DET201", "set iteration", subject="m.py:3:5", symbol="m:f"
+            "AST103", "float equality", subject="m.py:3:5", symbol="m:f"
         )
         assert d.to_dict()["symbol"] == "m:f"
 
